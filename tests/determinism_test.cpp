@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "core/experiment.hpp"
+#include "fault/fault_schedule.hpp"
 
 namespace fdgm::core {
 namespace {
@@ -40,23 +41,22 @@ struct HashSink final : abcast::DeliverSink {
   }
 };
 
-std::uint64_t delivery_hash(Algorithm algo,
-                            sim::SchedulerBackend backend = sim::SchedulerBackend::kHeap,
-                            bool transport = false, bool batching = false,
-                            bool observed = false, int threads = 0) {
+/// The golden-seed configuration: n = 5, wrong suspicions on, fixed seed.
+SimConfig golden_config(Algorithm algo) {
   SimConfig cfg;
   cfg.algorithm = algo;
   cfg.n = 5;
   cfg.seed = 424242;
-  cfg.scheduler.backend = backend;
-  cfg.scheduler.threads = threads;
-  cfg.transport.enabled = transport;
-  cfg.batching.enabled = batching;
-  cfg.obs.enabled = observed;
   cfg.fd_params.detection_time = 30.0;
   cfg.fd_params.wrong_suspicions = true;
   cfg.fd_params.mistake_recurrence = 2000.0;
   cfg.fd_params.mistake_duration = 50.0;
+  return cfg;
+}
+
+/// Runs `cfg` for 3 s at T = 200/s and hashes every local A-delivery plus
+/// the executed-event count.
+std::uint64_t run_hash(const SimConfig& cfg) {
   SimRun run(cfg, WorkloadConfig{.throughput = 200.0});
   Fnv f;
   std::vector<HashSink> sinks(static_cast<std::size_t>(cfg.n));
@@ -73,6 +73,30 @@ std::uint64_t delivery_hash(Algorithm algo,
   return f.h;
 }
 
+std::uint64_t delivery_hash(Algorithm algo,
+                            sim::SchedulerBackend backend = sim::SchedulerBackend::kHeap,
+                            bool transport = false, bool batching = false,
+                            bool observed = false, int threads = 0) {
+  SimConfig cfg = golden_config(algo);
+  cfg.scheduler.backend = backend;
+  cfg.scheduler.threads = threads;
+  cfg.transport.enabled = transport;
+  cfg.batching.enabled = batching;
+  cfg.obs.enabled = observed;
+  return run_hash(cfg);
+}
+
+/// The golden configuration with the first coordinator / sequencer p0
+/// crashing and recovering: covers the FD stack's SYNC-REQ/RESP catch-up
+/// and the GM stack's restart, exclusion, rejoin and state transfer.
+std::uint64_t crash_recovery_hash(Algorithm algo,
+                                  sim::SchedulerBackend backend = sim::SchedulerBackend::kHeap) {
+  SimConfig cfg = golden_config(algo);
+  cfg.scheduler.backend = backend;
+  cfg.faults = fault::FaultSchedule::parse("crash p0 @1000; recover p0 @1800");
+  return run_hash(cfg);
+}
+
 // Captured from the pre-refactor (PR-2) core at the same config; see the
 // file comment.  If a change legitimately alters event ordering, recapture
 // both constants and say so loudly in the PR.
@@ -85,6 +109,27 @@ TEST(GoldenSeed, FdDeliverySequenceMatchesPreRefactorCore) {
 
 TEST(GoldenSeed, GmDeliverySequenceMatchesPreRefactorCore) {
   EXPECT_EQ(delivery_hash(Algorithm::kGm), kGoldenGm);
+}
+
+// Crash-recovery goldens: no other golden crashes a process, so these pin
+// the recovery paths of both stacks (log catch-up, view changes, state
+// transfer) the same way the steady-state goldens pin the data plane.
+constexpr std::uint64_t kGoldenFdCrashRecovery = 0x3565e0935f6c484cULL;
+constexpr std::uint64_t kGoldenGmCrashRecovery = 0x6f10d41b13c97f6dULL;
+
+TEST(GoldenSeed, FdCrashRecoveryDeliverySequence) {
+  EXPECT_EQ(crash_recovery_hash(Algorithm::kFd), kGoldenFdCrashRecovery);
+}
+
+TEST(GoldenSeed, GmCrashRecoveryDeliverySequence) {
+  EXPECT_EQ(crash_recovery_hash(Algorithm::kGm), kGoldenGmCrashRecovery);
+}
+
+TEST(GoldenSeed, WheelBackendMatchesHeapCrashRecovery) {
+  EXPECT_EQ(crash_recovery_hash(Algorithm::kFd, sim::SchedulerBackend::kWheel),
+            kGoldenFdCrashRecovery);
+  EXPECT_EQ(crash_recovery_hash(Algorithm::kGm, sim::SchedulerBackend::kWheel),
+            kGoldenGmCrashRecovery);
 }
 
 // The hash must also be invariant to repetition within one process (no
