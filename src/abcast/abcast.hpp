@@ -46,6 +46,13 @@ struct MsgIdHash {
   }
 };
 
+/// Ordering pipeline depth, one decision shared by both stacks: FD
+/// consensus instance #k may start once decision #(k - depth) has been
+/// processed, and the GM sequencer keeps at most `depth` SEQNUM batches
+/// awaiting their DELIVER.  Per batch, either stack then shows the same
+/// failure-free message pattern (the paper's single normal-steady curve).
+inline constexpr std::uint64_t kPipelineDepth = 2;
+
 /// The application-level message carried through atomic broadcast.
 class AppMessage final : public net::Payload {
  public:

@@ -10,6 +10,9 @@ namespace fdgm::abcast {
 namespace {
 constexpr int kDataTag = 0x41424344;        // "ABCD": data dissemination channel
 constexpr std::uint32_t kAbcastContext = 0;  // consensus context of the FD algorithm
+/// Crash-recovery catch-up: period (ms) of the watchdog that re-requests a
+/// log sync from the peers while the recovered process is behind.
+constexpr double kSyncRetryMs = 100.0;
 }  // namespace
 
 // ------------------------------------------------ crash-recovery wire types
@@ -91,7 +94,8 @@ void FdAbcastProcess::on_restart() {
   // message contents are objective data and stay; only this incarnation's
   // proposal marks are void (our in-flight proposals died with us), so
   // every still-pending id becomes proposable again.
-  proposed_in_.clear();
+  for (auto& [id, p] : pending_) p.proposed_in = 0;
+  proposed_count_ = 0;
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
   ++sync_epoch_;
@@ -99,7 +103,7 @@ void FdAbcastProcess::on_restart() {
   watch_log_ = log_.size();
   watch_next_ = next_to_process_;
   const std::uint64_t epoch = sync_epoch_;
-  sys_->scheduler().schedule_after(cfg_.sync_retry, [this, epoch] { catchup_tick(epoch); });
+  sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
 
 void FdAbcastProcess::send_sync_req() {
@@ -125,7 +129,7 @@ void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
   if (!syncing_ && !outstanding) return;  // caught up and quiet: the watchdog retires
   watch_log_ = log_.size();
   watch_next_ = next_to_process_;
-  sys_->scheduler().schedule_after(cfg_.sync_retry, [this, epoch] { catchup_tick(epoch); });
+  sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
 
 void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
@@ -141,7 +145,7 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
   resp->next = next_to_process_;
   resp->winners = winners_;
   resp->pending.reserve(pending_.size());
-  for (const auto& [id, msg] : pending_) resp->pending.push_back(msg);
+  for (const auto& [id, p] : pending_) resp->pending.push_back(p.msg);
   sys_->node(self_).send(from, net::ProtocolId::kAtomicBroadcast, resp);
 }
 
@@ -150,18 +154,16 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
   syncing_ = false;
   for (AppMessagePtr msg : resp.suffix) {
     if (!delivered_ids_.insert(msg->id).second) continue;
-    pending_.erase(msg->id);
-    proposed_in_.erase(msg->id);
-    release_rb(msg->id);
+    if (auto it = pending_.find(msg->id); it != pending_.end()) erase_pending(it);
     log_.push_back(msg);
     deliver(*msg);
   }
   for (AppMessagePtr msg : resp.pending)
-    if (!delivered_ids_.contains(msg->id)) pending_.emplace(msg->id, msg);
+    if (!delivered_ids_.contains(msg->id)) pending_.try_emplace(msg->id, msg);
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
     for (const auto& [number, winner] : resp.winners) winners_.insert_or_assign(number, winner);
-    while (!winners_.empty() && winners_.begin()->first + cfg_.pipeline < next_to_process_)
+    while (!winners_.empty() && winners_.begin()->first + kPipelineDepth < next_to_process_)
       winners_.erase(winners_.begin());
     ready_decisions_.erase(ready_decisions_.begin(),
                            ready_decisions_.lower_bound(next_to_process_));
@@ -202,35 +204,48 @@ void FdAbcastProcess::on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner) 
 
 bool FdAbcastProcess::admit_data(const AppMessage& msg, const rbcast::RbId& rb_id) {
   if (delivered_ids_.contains(msg.id)) return false;
-  pending_.emplace(msg.id, &msg);
-  if (rb_ids_.emplace(msg.id, rb_id).second) ++rb_refs_[rb_id];
+  Pending& p = pending_.try_emplace(msg.id, &msg).first->second;
+  if (!p.rb_id) {
+    p.rb_id = rb_id;
+    ++rb_refs_[rb_id];
+  }
   return true;
 }
 
-void FdAbcastProcess::release_rb(const MsgId& id) {
-  auto rit = rb_ids_.find(id);
-  if (rit == rb_ids_.end()) return;
-  const rbcast::RbId rb_id = rit->second;
-  rb_ids_.erase(rit);
-  if (auto cit = rb_refs_.find(rb_id); cit != rb_refs_.end() && --cit->second == 0) {
+void FdAbcastProcess::erase_pending(PendingMap::iterator it) {
+  const std::optional<rbcast::RbId> rb_id = it->second.rb_id;
+  if (it->second.proposed_in != 0) --proposed_count_;
+  pending_.erase(it);
+  if (!rb_id) return;
+  if (auto cit = rb_refs_.find(*rb_id); cit != rb_refs_.end() && --cit->second == 0) {
     rb_refs_.erase(cit);
-    rb_.release(rb_id);
+    rb_.release(*rb_id);
   }
 }
 
 int FdAbcastProcess::offset_for(std::uint64_t number) const {
-  if (!cfg_.renumbering || number <= cfg_.pipeline) return 0;
-  auto it = winners_.find(number - cfg_.pipeline);
+  if (!cfg_.renumbering || number <= kPipelineDepth) return 0;
+  auto it = winners_.find(number - kPipelineDepth);
   return it == winners_.end() ? 0 : it->second;
 }
 
 consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
+  return consensus::StartInfo{
+      .members = &sys_->all(),
+      .coordinator_offset = offset_for(number),
+      .initial = propose_pending(number),
+      // Recovery rounds with no locked value may batch in later arrivals.
+      .refresh = [this, number] { return propose_pending(number); },
+  };
+}
+
+net::PayloadPtr FdAbcastProcess::propose_pending(std::uint64_t number) {
   std::vector<MsgId> ids;
   ids.reserve(pending_.size());
-  for (const auto& [id, msg] : pending_) {
+  for (auto& [id, p] : pending_) {
     ids.push_back(id);
-    auto [it, inserted] = proposed_in_.try_emplace(id, number);
-    if (!inserted) it->second = std::max(it->second, number);
+    if (p.proposed_in == 0) ++proposed_count_;
+    p.proposed_in = std::max(p.proposed_in, number);
   }
   // Causal anchor: the consensus round covering these messages starts
   // here; the walker closes the interval at the decision (on_ordered).
@@ -239,28 +254,7 @@ consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
     for (const MsgId& id : ids) refs.add(id.origin, id.seq);
     o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
   }
-  return consensus::StartInfo{
-      .members = &sys_->all(),
-      .coordinator_offset = offset_for(number),
-      .initial = sys_->arena().make<Proposal>(self_, std::move(ids)),
-      // Recovery rounds with no locked value may batch in later arrivals.
-      .refresh =
-          [this, number]() -> net::PayloadPtr {
-            std::vector<MsgId> fresh;
-            fresh.reserve(pending_.size());
-            for (const auto& [id, msg] : pending_) {
-              fresh.push_back(id);
-              auto [it, inserted] = proposed_in_.try_emplace(id, number);
-              if (!inserted) it->second = std::max(it->second, number);
-            }
-            if (auto* o = sys_->obs(); o != nullptr && o->causal()) {
-              obs::MsgRefList refs;
-              for (const MsgId& id : fresh) refs.add(id.origin, id.seq);
-              o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
-            }
-            return sys_->arena().make<Proposal>(self_, std::move(fresh));
-          },
-  };
+  return sys_->arena().make<Proposal>(self_, std::move(ids));
 }
 
 void FdAbcastProcess::maybe_start_next() {
@@ -268,13 +262,10 @@ void FdAbcastProcess::maybe_start_next() {
   // yet covered by a proposal of ours.  Messages arriving while the
   // pipeline is full batch into a later instance (aggregation, §4.1).
   //
-  // proposed_in_ only ever marks ids that are in pending_, and a mark is
-  // erased no later than its message (delivery, sync and restart erase
-  // both; the re-proposal sweep erases marks only), so proposed_in_ is a
-  // subset of pending_ and "some pending message is uncovered" is a size
-  // comparison — O(1) instead of an O(pending) scan per delivery/arrival,
-  // which dominated large-n runs.
-  if (proposed_in_.size() >= pending_.size()) return;
+  // proposed_count_ counts the marked entries of pending_, so "some
+  // pending message is uncovered" is a size comparison — O(1) instead of
+  // an O(pending) scan per delivery/arrival, which dominated large-n runs.
+  if (proposed_count_ == pending_.size()) return;
   std::uint64_t k = next_to_process_;
   while (can_start(k)) {
     const consensus::InstanceKey key{kAbcastContext, k};
@@ -312,24 +303,22 @@ void FdAbcastProcess::process_ready_decisions() {
       if (delivered_ids_.contains(id)) continue;
       auto pit = pending_.find(id);
       if (pit == pending_.end()) return;  // content not yet R-delivered; retry on arrival
-      AppMessagePtr msg = pit->second;
-      pending_.erase(pit);
-      proposed_in_.erase(id);
+      AppMessagePtr msg = pit->second.msg;
+      erase_pending(pit);
       delivered_ids_.insert(id);
       log_.push_back(msg);
-      release_rb(id);
       deliver(*msg);
     }
     // Re-proposal: ids whose latest proposal lost (mark at or below the
     // decision just applied) become uncovered again.
-    for (auto it = proposed_in_.begin(); it != proposed_in_.end();) {
-      if (it->second <= next_to_process_)
-        it = proposed_in_.erase(it);
-      else
-        ++it;
+    for (auto& [id, p] : pending_) {
+      if (p.proposed_in != 0 && p.proposed_in <= next_to_process_) {
+        p.proposed_in = 0;
+        --proposed_count_;
+      }
     }
     winners_.emplace(next_to_process_, prop.proposer);
-    while (!winners_.empty() && winners_.begin()->first + cfg_.pipeline < next_to_process_)
+    while (!winners_.empty() && winners_.begin()->first + kPipelineDepth < next_to_process_)
       winners_.erase(winners_.begin());
     ready_decisions_.erase(it);
     ++next_to_process_;

@@ -8,10 +8,10 @@
 // ids.  Aggregation is inherent: one consensus decides the order of every
 // message pending at the proposer.
 //
-// Instances run in a shallow pipeline (depth W = 2): instance #k may
-// start once decision #(k-W) has been processed.  Messages arriving while
-// the in-flight instances are busy batch into the next one — the
-// algorithm's aggregation mechanism (§4.1) — and per batch the
+// Instances run in a shallow pipeline (depth W = kPipelineDepth = 2):
+// instance #k may start once decision #(k-W) has been processed.
+// Messages arriving while the in-flight instances are busy batch into the
+// next one — the algorithm's aggregation mechanism (§4.1) — and per batch the
 // failure-free message pattern is identical to the sequencer's (one
 // proposal multicast, n-1 acks, one decision multicast), which is what
 // lets the paper plot a single curve for both algorithms in the
@@ -30,7 +30,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,12 +47,6 @@ namespace fdgm::abcast {
 struct FdAbcastConfig {
   /// Enables the coordinator re-numbering optimization.
   bool renumbering = true;
-  /// Pipeline depth W: instance #k may start once decision #(k-W) was
-  /// processed.  1 = strictly sequential instances.
-  std::uint64_t pipeline = 2;
-  /// Crash-recovery catch-up: period (ms) of the watchdog that re-requests
-  /// a log sync from the peers while the recovered process is behind.
-  double sync_retry = 100.0;
   /// Submission batching + flow control (see abcast::BatchConfig).
   BatchConfig batching;
 };
@@ -118,14 +112,27 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   class SyncReq;
   class SyncResp;
 
+  /// The whole per-message state of an R-delivered, undelivered message.
+  struct Pending {
+    explicit Pending(AppMessagePtr msg) : msg(msg) {}
+    AppMessagePtr msg;
+    /// rbcast slot whose retention it shares; unset while its content is
+    /// known only from a sync response.
+    std::optional<rbcast::RbId> rb_id;
+    /// Highest instance whose proposal of ours included it, 0 = none.
+    /// Unmarked ids trigger (and join) the next instance; marks at or below
+    /// a processed decision are cleared so lost proposals are re-proposed.
+    std::uint64_t proposed_in = 0;
+  };
+  using PendingMap = std::map<MsgId, Pending>;
+
   void on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner);
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
   bool admit_data(const AppMessage& msg, const rbcast::RbId& rb_id);
-  /// Releases one message's share of its rbcast retention (a batch's k
-  /// messages share one RbId; the rbcast slot frees when the last one is
-  /// delivered).
-  void release_rb(const MsgId& id);
+  /// Drops the entry of a message being A-delivered and its share of the
+  /// rbcast retention (a batch's k messages share one slot).
+  void erase_pending(PendingMap::iterator it);
   void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
   void maybe_start_next();
   void process_ready_decisions();
@@ -133,15 +140,15 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   void handle_sync_req(net::ProcessId from, const SyncReq& req);
   void apply_sync_resp(const SyncResp& resp);
   void catchup_tick(std::uint64_t epoch);
-  /// Builds the proposal (all pending ids) and marks them as proposed in
-  /// instance `number`.
   [[nodiscard]] consensus::StartInfo make_start_info(std::uint64_t number);
+  /// Proposes every pending id, marking each as proposed in `number`.
+  [[nodiscard]] net::PayloadPtr propose_pending(std::uint64_t number);
   /// May instance `number` start yet (pipeline window)?
   [[nodiscard]] bool can_start(std::uint64_t number) const {
-    return number < next_to_process_ + cfg_.pipeline;
+    return number < next_to_process_ + kPipelineDepth;
   }
   /// Coordinator rotation offset of instance `number` (identical at every
-  /// process): the winner of decision #(number - pipeline), 0 early on.
+  /// process): the winner of decision #(number - kPipelineDepth), 0 early on.
   [[nodiscard]] int offset_for(std::uint64_t number) const;
 
   fd::FailureDetector* fd_;
@@ -149,15 +156,12 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   rbcast::ReliableBroadcast rb_;
   consensus::ConsensusService consensus_;
 
-  /// R-delivered, not yet A-delivered (id-ordered for proposals).
-  std::map<MsgId, AppMessagePtr> pending_;
-  /// Highest instance number whose proposal included the id.  Ids without
-  /// a mark trigger (and join) the next instance; marks at or below a
-  /// processed decision are cleared so lost proposals are re-proposed.
-  std::unordered_map<MsgId, std::uint64_t, MsgIdHash> proposed_in_;
-  std::unordered_map<MsgId, rbcast::RbId, MsgIdHash> rb_ids_;
-  /// Messages still retaining each rbcast slot (1 for singles, k for a
-  /// batch; released as its messages are delivered).
+  /// R-delivered, not yet A-delivered (id-ordered for proposals); the
+  /// entry is erased when its message is A-delivered.
+  PendingMap pending_;
+  std::size_t proposed_count_ = 0;  // entries with proposed_in != 0
+  /// Pending messages still retaining each rbcast slot (1 for singles, k
+  /// for a batch; released as its messages are delivered).
   std::unordered_map<rbcast::RbId, std::size_t, rbcast::RbIdHash> rb_refs_;
   std::unordered_set<MsgId, MsgIdHash> delivered_ids_;
   std::vector<AppMessagePtr> log_;
@@ -165,7 +169,7 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   std::uint64_t next_to_process_ = 1;  // next decision to apply
   std::map<std::uint64_t, const Proposal*> ready_decisions_;
   /// Winning proposer per processed decision (pruned below the window):
-  /// anchors the coordinator rotation of instance #(k + pipeline).
+  /// anchors the coordinator rotation of instance #(k + kPipelineDepth).
   std::map<std::uint64_t, net::ProcessId> winners_;
 
   // Crash-recovery catch-up state.

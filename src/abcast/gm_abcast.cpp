@@ -88,8 +88,7 @@ GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
       cfg_(cfg),
       rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
       consensus_(sys, self, fd, rb_),
-      membership_(sys, self, fd, rb_, consensus_, *this,
-                  gm::MembershipConfig{.join_retry = cfg.join_retry}) {
+      membership_(sys, self, fd, rb_, consensus_, *this) {
   view_ = membership_.view();
   acks_.assign(static_cast<std::size_t>(sys.n()), kNoAck);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
@@ -161,8 +160,7 @@ void GmAbcastProcess::handle_data(const AppMessagePtr& msg) {
 
 bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
   if (delivered_.contains(msg->id) || msgs_.contains(msg->id)) return false;
-  msgs_.emplace(msg->id, msg);
-  arrival_order_.push_back(msg->id);
+  msgs_.emplace(msg->id, arrival_order_.insert(arrival_order_.end(), msg));
   // Causal anchor (sequencer only): the message entered the pending queue
   // here; the walker closes the interval at the sn assignment.
   if (active_sequencer()) {
@@ -173,6 +171,11 @@ bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
     }
   }
   return true;
+}
+
+std::int64_t GmAbcastProcess::seqnum_of(const MsgId& id) const {
+  auto it = sn_of_.find(id);
+  return it == sn_of_.end() ? -1 : it->second;
 }
 
 void GmAbcastProcess::trigger_ordering() {
@@ -187,12 +190,13 @@ void GmAbcastProcess::sequence_pending() {
   // their DELIVER announcement.
   if (cfg_.uniform) {
     std::erase_if(batch_ends_, [this](std::int64_t e) { return e <= announced_; });
-    if (batch_ends_.size() >= 2) return;
+    if (batch_ends_.size() >= kPipelineDepth) return;
   }
   // Assign the next sequence numbers to every known unsequenced message.
   std::vector<std::pair<MsgId, std::int64_t>> assigned;
-  for (const MsgId& id : arrival_order_) {
-    if (delivered_.contains(id) || sn_of_.contains(id)) continue;
+  for (AppMessagePtr msg : arrival_order_) {
+    const MsgId id = msg->id;
+    if (sn_of_.contains(id)) continue;
     const std::int64_t sn = next_sn_++;
     sn_of_.emplace(id, sn);
     msg_at_.emplace(sn, id);
@@ -271,15 +275,22 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
     if (it == msg_at_.end()) break;
     auto mit = msgs_.find(it->second);
     if (mit == msgs_.end()) break;
+    const AppMessagePtr msg = *mit->second;
     ++deliver_sn_;
-    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, mit->second);
-    deliver_msg(mit->second);
+    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, msg);
+    deliver_msg(msg);
   }
 }
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
   if (!delivered_.insert(msg->id).second) return;
-  msgs_.erase(msg->id);  // content lives on in the run's arena
+  // Content lives on in the run's arena.  Erased before deliver(), which
+  // may re-enter the ordering step through a submission.
+  if (auto it = msgs_.find(msg->id); it != msgs_.end()) {
+    arrival_order_.erase(it->second);
+    msgs_.erase(it);
+  }
+  sn_of_.erase(msg->id);
   log_.push_back(msg);
   deliver(*msg);
 }
@@ -301,7 +312,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (s->view_id != view_.id) return;  // stale view: ignored, re-sequenced later
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
-      sn_of_.emplace(id, sn);
+      if (!delivered_.contains(id)) sn_of_.emplace(id, sn);  // repair may resend delivered sns
       msg_at_.emplace(sn, id);
     }
     try_advance_ack();
@@ -338,7 +349,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       pairs.emplace_back(it->second, sn);
       AppMessagePtr content = nullptr;
       if (auto mit = msgs_.find(it->second); mit != msgs_.end()) {
-        content = mit->second;
+        content = *mit->second;
       } else {
         // Already delivered here: fetch from the log.
         for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
@@ -375,15 +386,10 @@ void GmAbcastProcess::on_message(const net::Message& m) {
 gm::UnstableReport GmAbcastProcess::unstable_messages() const {
   gm::UnstableReport report;
   report.watermark = deliver_sn_;
-  report.entries.reserve(msgs_.size() + recent_delivered_.size());
+  report.entries.reserve(arrival_order_.size() + recent_delivered_.size());
   // Undelivered messages, sequenced or not.
-  for (const MsgId& id : arrival_order_) {
-    auto it = msgs_.find(id);
-    if (it == msgs_.end()) continue;  // delivered
-    auto sit = sn_of_.find(id);
-    report.entries.push_back(
-        gm::UnstableEntry{it->second, sit == sn_of_.end() ? -1 : sit->second});
-  }
+  for (AppMessagePtr msg : arrival_order_)
+    report.entries.push_back(gm::UnstableEntry{msg, seqnum_of(msg->id)});
   // Recently delivered sequenced messages: possibly undelivered elsewhere,
   // so they must keep their sequence number through the view change.
   for (const auto& [sn, msg] : recent_delivered_)
@@ -409,13 +415,9 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   std::int64_t max_sn = sn_floor_;
   for (const gm::UnstableEntry& e : sequenced) {
     max_sn = std::max(max_sn, e.seqnum);
-    if (!delivered_.contains(e.msg->id)) {
-      msgs_.try_emplace(e.msg->id, e.msg);  // we may never have seen it
-      deliver_msg(e.msg);
-    }
+    deliver_msg(e.msg);  // we may never have seen it; no-op if delivered
   }
-  for (const gm::UnstableEntry& e : plain)
-    if (!delivered_.contains(e.msg->id)) deliver_msg(e.msg);
+  for (const gm::UnstableEntry& e : plain) deliver_msg(e.msg);
 
   // Everything up to the decided settled point is done; mappings above the
   // floor belong to the dead view and will be re-assigned.
@@ -430,14 +432,8 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  for (auto it = msg_at_.begin(); it != msg_at_.end();) {
-    if (it->first > sn_floor_) {
-      sn_of_.erase(it->second);
-      it = msg_at_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  for (auto it = msg_at_.upper_bound(sn_floor_); it != msg_at_.end(); it = msg_at_.erase(it))
+    sn_of_.erase(it->second);
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
@@ -471,13 +467,7 @@ void GmAbcastProcess::send_buffered() {
 net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
   GmState* st = sys_->arena().make<GmState>();
   for (std::size_t i = from; i < log_.size(); ++i) st->log_suffix.push_back(log_[i]);
-  for (const MsgId& id : arrival_order_) {
-    auto it = msgs_.find(id);
-    if (it == msgs_.end()) continue;
-    auto sit = sn_of_.find(id);
-    st->known.emplace_back(it->second,
-                           sit == sn_of_.end() ? std::int64_t{-1} : sit->second);
-  }
+  for (AppMessagePtr msg : arrival_order_) st->known.emplace_back(msg, seqnum_of(msg->id));
   st->sn_floor = sn_floor_;
   st->settled = deliver_sn_;
   return st;
@@ -486,8 +476,7 @@ net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
 void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& v) {
   const GmState* st = net::payload_cast<GmState>(state);
   if (st == nullptr) throw std::logic_error("GmAbcastProcess: bad state payload");
-  for (AppMessagePtr msg : st->log_suffix)
-    if (!delivered_.contains(msg->id)) deliver_msg(msg);
+  for (AppMessagePtr msg : st->log_suffix) deliver_msg(msg);
   // Raise the floor first: mappings in `known` above the sender's floor are
   // live assignments of the current view and must be kept.
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
@@ -496,7 +485,8 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
                           recent_delivered_.upper_bound(sn_floor_));
   for (const auto& [msg, sn] : st->known) {
     if (delivered_.contains(msg->id)) continue;
-    if (msgs_.try_emplace(msg->id, msg).second) arrival_order_.push_back(msg->id);
+    if (!msgs_.contains(msg->id))
+      msgs_.emplace(msg->id, arrival_order_.insert(arrival_order_.end(), msg));
     if (sn > sn_floor_) {
       sn_of_.emplace(msg->id, sn);
       msg_at_.emplace(sn, msg->id);

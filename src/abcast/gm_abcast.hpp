@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -43,8 +44,6 @@ namespace fdgm::abcast {
 struct GmAbcastConfig {
   /// Uniform (4-phase) or non-uniform (2-multicast) delivery rule.
   bool uniform = true;
-  /// Joiner retry period for the membership JOIN message (ms).
-  double join_retry = 50.0;
   /// Submission batching + flow control (see abcast::BatchConfig).
   BatchConfig batching;
 };
@@ -108,6 +107,8 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// or delivered.  Batch paths admit every message, then trigger the
   /// ordering step once.
   bool admit_data(const AppMessagePtr& msg);
+  /// The sequence number of an undelivered message, -1 if unsequenced.
+  [[nodiscard]] std::int64_t seqnum_of(const MsgId& id) const;
   /// One ordering step: sequence (active sequencer) or ack (follower).
   void trigger_ordering();
   void sequence_pending();
@@ -129,9 +130,13 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   bool member_ = true;
   bool frozen_ = false;
 
-  std::unordered_map<MsgId, AppMessagePtr, MsgIdHash> msgs_;  // known content
-  std::vector<MsgId> arrival_order_;                          // sequencing order
-  std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;
+  // Undelivered messages only: deliver_msg erases a message's entries in
+  // arrival_order_, msgs_ and sn_of_ (O(1)), so none grows with the run.
+  std::list<AppMessagePtr> arrival_order_;  // known content, sequencing order
+  std::unordered_map<MsgId, std::list<AppMessagePtr>::iterator, MsgIdHash> msgs_;  // its index
+  std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;  // may precede the content
+  /// sn -> id.  At or below sn_floor_ kept for the run (NEED repair reads
+  /// delivered sns); above it the current view's, dropped at view change.
   std::map<std::int64_t, MsgId> msg_at_;
   std::unordered_set<MsgId, MsgIdHash> delivered_;
   std::vector<AppMessagePtr> log_;
@@ -147,9 +152,9 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   // keep their sequence number through a view change.
   std::map<std::int64_t, AppMessagePtr> recent_delivered_;
 
-  // Sequencer state.  Batches run in a shallow pipeline (depth 2, like
-  // the FD algorithm's consensus instances): a new SEQNUM batch goes out
-  // while at most one earlier batch still awaits its DELIVER.  This is
+  // Sequencer state.  Batches run in a shallow pipeline (kPipelineDepth,
+  // like the FD algorithm's consensus instances): a new SEQNUM batch goes
+  // out while at most one earlier batch still awaits its DELIVER.  This is
   // the aggregation mechanism (§4.2) and makes the failure-free pattern
   // per batch identical to one consensus instance of the FD algorithm.
   std::int64_t next_sn_ = 1;

@@ -40,10 +40,6 @@ struct SimConfig {
   /// timer population grows with n^2 (large groups), the heap at the
   /// paper's n <= 7 sizes.
   sim::SchedulerConfig scheduler;
-  /// FD-algorithm coordinator re-numbering optimization (paper §7).
-  bool fd_renumbering = true;
-  /// GM joiner retry period (ms).
-  double gm_join_retry = 50.0;
   /// Scripted fault schedule, armed when the run starts.  Each replica
   /// arms the same schedule against its own seeded system (the injector's
   /// RNG is a fork of the replica master seed), so replicas stay

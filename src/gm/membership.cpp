@@ -12,6 +12,8 @@ namespace fdgm::gm {
 
 namespace {
 constexpr std::uint32_t kMembershipContext = 1;
+/// Joiner retry period for JOIN requests (ms).
+constexpr double kJoinRetryMs = 50.0;
 
 /// Coordinator rotation for view-change consensus: the plain rotation of
 /// the underlying consensus (round 1 is coordinated by the lowest-id
@@ -97,14 +99,13 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                                  rbcast::ReliableBroadcast& rb,
                                  consensus::ConsensusService& consensus,
-                                 MembershipClient& client, MembershipConfig cfg)
+                                 MembershipClient& client)
     : sys_(&sys),
       self_(self),
       fd_(&fd),
       rb_(&rb),
       consensus_(&consensus),
-      client_(&client),
-      cfg_(cfg) {
+      client_(&client) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
@@ -404,7 +405,7 @@ void GroupMembership::send_join() {
   sys_->node(self_).multicast(join_targets_, net::ProtocolId::kMembership,
                               sys_->arena().make<JoinPayload>(client_->log_length(),
                                                               join_view_hint_));
-  sys_->scheduler().schedule_after(cfg_.join_retry, [this] { send_join(); });
+  sys_->scheduler().schedule_after(kJoinRetryMs, [this] { send_join(); });
 }
 
 // ----------------------------------------------------------------- messages
