@@ -7,7 +7,8 @@ namespace fdgm::abcast {
 
 AtomicBroadcastProcess::AtomicBroadcastProcess(net::System& sys, net::ProcessId self,
                                                BatchConfig batching)
-    : sys_(&sys), self_(self), batching_(batching) {}
+    : sys_(&sys), self_(self), batching_(batching),
+      delivered_(static_cast<std::size_t>(sys.n())) {}
 
 AtomicBroadcastProcess::~AtomicBroadcastProcess() {
   if (flush_timer_ != 0) {
@@ -99,6 +100,16 @@ void AtomicBroadcastProcess::arm_flush_timer() {
     if (sys_->node(self_).crashed()) return;
     flush_queue();
   });
+}
+
+bool AtomicBroadcastProcess::record_delivery(AppMessagePtr msg) {
+  std::vector<bool>& bits = delivered_[static_cast<std::size_t>(msg->id.origin)];
+  if (msg->id.seq >= bits.size()) bits.resize(msg->id.seq + 1);
+  if (bits[msg->id.seq]) return false;
+  bits[msg->id.seq] = true;
+  log_.push_back(msg);
+  deliver(*msg);
+  return true;
 }
 
 void AtomicBroadcastProcess::deliver(const AppMessage& m) {

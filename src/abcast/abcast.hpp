@@ -126,9 +126,10 @@ class ReadySink {
 };
 
 /// Per-process endpoint of an atomic broadcast algorithm.  The base class
-/// owns the submission side (ids, batching queue, credit accounting); the
-/// algorithm supplies the ordering machinery via submit_now/flush_batch
-/// and reports deliveries back through deliver().
+/// owns the submission side (ids, batching queue, credit accounting) and
+/// the A-delivery record (log + duplicate filter); the algorithm supplies
+/// the ordering machinery via submit_now/flush_batch and reports
+/// deliveries back through record_delivery().
 class AtomicBroadcastProcess {
  public:
   AtomicBroadcastProcess(net::System& sys, net::ProcessId self, BatchConfig batching);
@@ -158,17 +159,18 @@ class AtomicBroadcastProcess {
   [[nodiscard]] const BatchConfig& batching() const { return batching_; }
 
   /// Crash-recovery hook, invoked by the fault injector right after
-  /// net::System::restart(p).  The base treats the submission queue as
-  /// part of stable storage (accepted submissions were already recorded
-  /// by the harness) and re-flushes it; overriding algorithms reset their
+  /// net::System::restart(p).  Stable storage is the A-delivery record
+  /// (log and duplicate filter), the message counter and the submission
+  /// queue (accepted submissions were already recorded by the harness),
+  /// which the base re-flushes; overriding algorithms reset their
   /// volatile state first, then call this.
   virtual void on_restart();
 
-  /// Number of messages A-delivered locally (tests/debug).
-  [[nodiscard]] virtual std::uint64_t delivered_count() const = 0;
+  /// Local A-deliveries, in delivery order.
+  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
+  [[nodiscard]] std::uint64_t delivered_count() const { return log_.size(); }
 
   // Introspection (tests, scenarios, micro-kernels).
-  [[nodiscard]] std::size_t submit_queue_depth() const { return queue_.size(); }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
   [[nodiscard]] std::uint64_t batches_flushed() const { return batches_flushed_; }
   /// Current adaptive batch target k (>= 1; 1 with batching off).
@@ -183,8 +185,16 @@ class AtomicBroadcastProcess {
   /// ordering machinery as one unit.
   virtual void flush_batch(const AppMessagePtr* msgs, std::size_t count) = 0;
 
-  /// Algorithms report every local A-delivery here: releases the credit
-  /// of own messages (firing the ReadySink on the release edge) and
+  /// Uniform integrity: has this process A-delivered `id` already?
+  [[nodiscard]] bool delivered(const MsgId& id) const {
+    const std::vector<bool>& bits = delivered_[static_cast<std::size_t>(id.origin)];
+    return id.seq < bits.size() && bits[id.seq];
+  }
+  /// Algorithms report every local A-delivery here: appends it to the log
+  /// and notifies (deliver()); a repeat is refused (false) and ignored.
+  bool record_delivery(AppMessagePtr msg);
+  /// Notification only (micro-kernels call it directly): releases the
+  /// credit of own messages (firing the ReadySink on the release edge) and
   /// forwards to the DeliverSink.
   void deliver(const AppMessage& m);
 
@@ -214,6 +224,11 @@ class AtomicBroadcastProcess {
   std::uint64_t batches_flushed_ = 0;
   DeliverSink* deliver_sink_ = nullptr;
   ReadySink* ready_sink_ = nullptr;
+
+  std::vector<AppMessagePtr> log_;
+  /// Delivered bit per (origin, seq): exact, one bit per message, and a
+  /// gap that never closes (content dropped by a restart) costs nothing.
+  std::vector<std::vector<bool>> delivered_;
 };
 
 }  // namespace fdgm::abcast

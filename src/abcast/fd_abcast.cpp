@@ -37,7 +37,7 @@ class FdAbcastProcess::SyncResp final : public net::Payload {
   static constexpr std::uint8_t kKind = 1;
   SyncResp() : Payload(kProto, kKind) {}
   std::uint64_t from_len = 0;                        // echo of the request
-  std::vector<AppMessagePtr> suffix;                 // log_[from_len..)
+  std::vector<AppMessagePtr> suffix;                 // log()[from_len..)
   std::uint64_t next = 1;                            // peer's next_to_process_
   std::map<std::uint64_t, net::ProcessId> winners;   // rotation anchors
   std::vector<AppMessagePtr> pending;                // undecided contents
@@ -89,18 +89,17 @@ void FdAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) 
 // ------------------------------------------------- crash-recovery catch-up
 
 void FdAbcastProcess::on_restart() {
-  // Stable storage: log_, delivered_ids_, the message counter and the
-  // submission queue (the base class re-flushes it).  Decisions and
-  // message contents are objective data and stay; only this incarnation's
-  // proposal marks are void (our in-flight proposals died with us), so
-  // every still-pending id becomes proposable again.
+  // Stable storage is the base's (AtomicBroadcastProcess::on_restart).
+  // Decisions and message contents are objective data and stay; only this
+  // incarnation's proposal marks are void (our in-flight proposals died
+  // with us), so every still-pending id becomes proposable again.
   for (auto& [id, p] : pending_) p.proposed_in = 0;
   proposed_count_ = 0;
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
   ++sync_epoch_;
   send_sync_req();
-  watch_log_ = log_.size();
+  watch_log_ = delivered_count();
   watch_next_ = next_to_process_;
   const std::uint64_t epoch = sync_epoch_;
   sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
@@ -112,7 +111,7 @@ void FdAbcastProcess::send_sync_req() {
     return;
   }
   sys_->node(self_).multicast_others(sys_->all(), net::ProtocolId::kAtomicBroadcast,
-                                     sys_->arena().make<SyncReq>(log_.size()));
+                                     sys_->arena().make<SyncReq>(delivered_count()));
 }
 
 void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
@@ -123,11 +122,11 @@ void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
   // decision or content we will never receive was in flight during the
   // previous sync).  A healthy process makes progress between ticks and
   // sends nothing here.
-  const bool stalled = log_.size() == watch_log_ && next_to_process_ == watch_next_;
+  const bool stalled = delivered_count() == watch_log_ && next_to_process_ == watch_next_;
   const bool outstanding = !pending_.empty() || !ready_decisions_.empty();
   if (syncing_ || (stalled && outstanding)) send_sync_req();
   if (!syncing_ && !outstanding) return;  // caught up and quiet: the watchdog retires
-  watch_log_ = log_.size();
+  watch_log_ = delivered_count();
   watch_next_ = next_to_process_;
   sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
@@ -136,12 +135,12 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
   // Only a peer that can cover the whole missing suffix responds, and only
   // the first such peer by id (by local suspicion knowledge) — the
   // requester ignores duplicates, this merely bounds the traffic.
-  if (log_.size() < req.log_len) return;
+  if (delivered_count() < req.log_len) return;
   for (net::ProcessId q : sys_->all())
     if (q != from && q != self_ && q < self_ && !fd_->suspects(q)) return;
   SyncResp* resp = sys_->arena().make<SyncResp>();
   resp->from_len = req.log_len;
-  resp->suffix.assign(log_.begin() + static_cast<std::ptrdiff_t>(req.log_len), log_.end());
+  resp->suffix.assign(log().begin() + static_cast<std::ptrdiff_t>(req.log_len), log().end());
   resp->next = next_to_process_;
   resp->winners = winners_;
   resp->pending.reserve(pending_.size());
@@ -150,16 +149,16 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
 }
 
 void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
-  if (resp.from_len != log_.size()) return;  // stale (an earlier sync applied)
+  if (resp.from_len != delivered_count()) return;  // stale (an earlier sync applied)
   syncing_ = false;
   for (AppMessagePtr msg : resp.suffix) {
-    if (!delivered_ids_.insert(msg->id).second) continue;
+    // pending_ never holds a delivered id: a repeat finds no entry here
+    // and record_delivery refuses it.
     if (auto it = pending_.find(msg->id); it != pending_.end()) erase_pending(it);
-    log_.push_back(msg);
-    deliver(*msg);
+    record_delivery(msg);
   }
   for (AppMessagePtr msg : resp.pending)
-    if (!delivered_ids_.contains(msg->id)) pending_.try_emplace(msg->id, msg);
+    if (!delivered(msg->id)) pending_.try_emplace(msg->id, msg);
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
     for (const auto& [number, winner] : resp.winners) winners_.insert_or_assign(number, winner);
@@ -203,7 +202,7 @@ void FdAbcastProcess::on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner) 
 }
 
 bool FdAbcastProcess::admit_data(const AppMessage& msg, const rbcast::RbId& rb_id) {
-  if (delivered_ids_.contains(msg.id)) return false;
+  if (delivered(msg.id)) return false;
   Pending& p = pending_.try_emplace(msg.id, &msg).first->second;
   if (!p.rb_id) {
     p.rb_id = rb_id;
@@ -300,14 +299,12 @@ void FdAbcastProcess::process_ready_decisions() {
     // Deliver the decision's messages in id order.  All correct processes
     // apply the same vector, so the delivery order is identical everywhere.
     for (const MsgId& id : prop.ids) {
-      if (delivered_ids_.contains(id)) continue;
+      if (delivered(id)) continue;
       auto pit = pending_.find(id);
       if (pit == pending_.end()) return;  // content not yet R-delivered; retry on arrival
       AppMessagePtr msg = pit->second.msg;
       erase_pending(pit);
-      delivered_ids_.insert(id);
-      log_.push_back(msg);
-      deliver(*msg);
+      record_delivery(msg);
     }
     // Re-proposal: ids whose latest proposal lost (mark at or below the
     // decision just applied) become uncovered again.

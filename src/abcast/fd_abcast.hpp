@@ -32,7 +32,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -70,21 +69,14 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
 
   // AtomicBroadcastProcess
   void on_restart() override;
-  [[nodiscard]] std::uint64_t delivered_count() const override { return log_.size(); }
 
   // net::Layer — SYNC-REQ / SYNC-RESP (crash-recovery catch-up only).
   void on_message(const net::Message& m) override;
-
-  /// Delivery log (tests: total order / uniform agreement checks).
-  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
 
   /// Consensus instances decided so far (tests: aggregation checks).
   [[nodiscard]] std::uint64_t decided_instances() const { return next_to_process_ - 1; }
 
   [[nodiscard]] rbcast::ReliableBroadcast& rb() { return rb_; }
-
-  /// Test/debug access to the consensus endpoint.
-  [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
 
  protected:
   // AtomicBroadcastProcess submission hooks: one rbcast broadcast per
@@ -163,8 +155,6 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   /// Pending messages still retaining each rbcast slot (1 for singles, k
   /// for a batch; released as its messages are delivered).
   std::unordered_map<rbcast::RbId, std::size_t, rbcast::RbIdHash> rb_refs_;
-  std::unordered_set<MsgId, MsgIdHash> delivered_ids_;
-  std::vector<AppMessagePtr> log_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply
   std::map<std::uint64_t, const Proposal*> ready_decisions_;

@@ -128,10 +128,10 @@ void GmAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) 
 }
 
 void GmAbcastProcess::on_restart() {
-  // Crash-recovery: stable storage is the A-delivery log (log_, delivered_),
-  // our own message counter and the buffer of accepted-but-unsent own
-  // messages; every piece of in-flight coordination state belonged to the
-  // dead incarnation.  In particular, stale sequence assignments of a dead
+  // Crash-recovery: stable storage is what the base keeps (see its
+  // on_restart) plus the buffer of accepted-but-unsent own messages;
+  // every piece of in-flight coordination state belonged to the dead
+  // incarnation.  In particular, stale sequence assignments of a dead
   // view must not survive — they could collide with the live view's
   // assignments after the state transfer (emplace keeps the first
   // mapping).  The floors stay: they are monotone and apply_state raises
@@ -159,7 +159,7 @@ void GmAbcastProcess::handle_data(const AppMessagePtr& msg) {
 }
 
 bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
-  if (delivered_.contains(msg->id) || msgs_.contains(msg->id)) return false;
+  if (delivered(msg->id) || msgs_.contains(msg->id)) return false;
   msgs_.emplace(msg->id, arrival_order_.insert(arrival_order_.end(), msg));
   // Causal anchor (sequencer only): the message entered the pending queue
   // here; the walker closes the interval at the sn assignment.
@@ -283,16 +283,15 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
 }
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
-  if (!delivered_.insert(msg->id).second) return;
-  // Content lives on in the run's arena.  Erased before deliver(), which
-  // may re-enter the ordering step through a submission.
+  if (delivered(msg->id)) return;
+  // Content lives on in the run's arena.  Erased before record_delivery(),
+  // which may re-enter the ordering step through a submission.
   if (auto it = msgs_.find(msg->id); it != msgs_.end()) {
     arrival_order_.erase(it->second);
     msgs_.erase(it);
   }
   sn_of_.erase(msg->id);
-  log_.push_back(msg);
-  deliver(*msg);
+  record_delivery(msg);
 }
 
 // ---------------------------------------------------------------- messages
@@ -312,7 +311,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (s->view_id != view_.id) return;  // stale view: ignored, re-sequenced later
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
-      if (!delivered_.contains(id)) sn_of_.emplace(id, sn);  // repair may resend delivered sns
+      if (!delivered(id)) sn_of_.emplace(id, sn);  // repair may resend delivered sns
       msg_at_.emplace(sn, id);
     }
     try_advance_ack();
@@ -352,7 +351,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
         content = *mit->second;
       } else {
         // Already delivered here: fetch from the log.
-        for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
+        for (auto lit = log().rbegin(); lit != log().rend(); ++lit)
           if ((*lit)->id == it->second) {
             content = *lit;
             break;
@@ -466,7 +465,7 @@ void GmAbcastProcess::send_buffered() {
 
 net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
   GmState* st = sys_->arena().make<GmState>();
-  for (std::size_t i = from; i < log_.size(); ++i) st->log_suffix.push_back(log_[i]);
+  for (std::size_t i = from; i < log().size(); ++i) st->log_suffix.push_back(log()[i]);
   for (AppMessagePtr msg : arrival_order_) st->known.emplace_back(msg, seqnum_of(msg->id));
   st->sn_floor = sn_floor_;
   st->settled = deliver_sn_;
@@ -484,7 +483,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   recent_delivered_.erase(recent_delivered_.begin(),
                           recent_delivered_.upper_bound(sn_floor_));
   for (const auto& [msg, sn] : st->known) {
-    if (delivered_.contains(msg->id)) continue;
+    if (delivered(msg->id)) continue;
     if (!msgs_.contains(msg->id))
       msgs_.emplace(msg->id, arrival_order_.insert(arrival_order_.end(), msg));
     if (sn > sn_floor_) {

@@ -27,7 +27,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -57,10 +56,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
 
   // AtomicBroadcastProcess
   void on_restart() override;
-  [[nodiscard]] std::uint64_t delivered_count() const override { return log_.size(); }
-
-  /// Delivery log (tests: total order / uniform agreement / view synchrony).
-  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
 
   [[nodiscard]] const gm::View& view() const { return membership_.view(); }
   [[nodiscard]] const gm::GroupMembership& membership() const { return membership_; }
@@ -68,15 +63,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
     return member_ && view_.members.front() == self_;
   }
 
-  /// Test/debug access to the consensus endpoint.
-  [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
-
   // gm::MembershipClient
   [[nodiscard]] gm::UnstableReport unstable_messages() const override;
   void on_view_change_started() override;
   void flush(const std::vector<gm::UnstableEntry>& u, std::int64_t settled) override;
   void on_view_installed(const gm::View& v, bool member) override;
-  [[nodiscard]] std::uint64_t log_length() const override { return log_.size(); }
+  [[nodiscard]] std::uint64_t log_length() const override { return delivered_count(); }
   [[nodiscard]] net::PayloadPtr make_state(std::uint64_t from) const override;
   void apply_state(const net::PayloadPtr& state, const gm::View& v) override;
 
@@ -138,8 +130,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// sn -> id.  At or below sn_floor_ kept for the run (NEED repair reads
   /// delivered sns); above it the current view's, dropped at view change.
   std::map<std::int64_t, MsgId> msg_at_;
-  std::unordered_set<MsgId, MsgIdHash> delivered_;
-  std::vector<AppMessagePtr> log_;
 
   std::int64_t sn_floor_ = 0;    // everything <= floor is settled
   std::int64_t ack_sn_ = 0;      // cumulative ack point (follower)

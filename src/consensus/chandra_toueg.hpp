@@ -101,8 +101,6 @@ class Instance final : public fd::SuspicionListener {
   // fd::SuspicionListener
   void on_suspect(net::ProcessId p) override;
 
-  [[nodiscard]] std::uint32_t round() const { return round_; }
-  [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] net::ProcessId coordinator(std::uint32_t r) const;
 
  private:
@@ -213,20 +211,6 @@ class ConsensusService final : public net::Layer {
     return decided_.contains(key) || below_floor(key);
   }
   [[nodiscard]] bool running(const InstanceKey& key) const { return instances_.contains(key); }
-
-  /// Introspection for tests/debugging: (round, coordinator of round) of a
-  /// running instance.
-  struct InstanceDebug {
-    std::uint32_t round = 0;
-    net::ProcessId coordinator = -1;
-    bool done = false;
-  };
-  [[nodiscard]] std::optional<InstanceDebug> debug_state(const InstanceKey& key) const {
-    auto it = instances_.find(key);
-    if (it == instances_.end()) return std::nullopt;
-    return InstanceDebug{it->second->round(), it->second->coordinator(it->second->round()),
-                         it->second->done()};
-  }
 
   // net::Layer — ESTIMATE/PROPOSE/ACK/NACK arrive here.
   void on_message(const net::Message& m) override;

@@ -103,7 +103,6 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   [[nodiscard]] const View& view() const { return view_; }
 
   [[nodiscard]] bool is_member() const { return status_ == Status::kMember; }
-  [[nodiscard]] bool in_view_change() const { return status_ == Status::kViewChange; }
   [[nodiscard]] bool is_excluded() const {
     return status_ == Status::kExcluded || status_ == Status::kJoining;
   }
@@ -119,15 +118,6 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   /// evidence of a restart: the next view change excludes and immediately
   /// readmits it with a state transfer.
   void rejoin();
-
-  /// Debug/tests: who we hold unstable reports from, and whether the view
-  /// change consensus was started.
-  [[nodiscard]] std::vector<net::ProcessId> debug_unstable_from() const {
-    std::vector<net::ProcessId> out;
-    for (const auto& [q, r] : unstable_received_) out.push_back(q);
-    return out;
-  }
-  [[nodiscard]] bool debug_consensus_started() const { return consensus_started_; }
 
   // net::Layer — UNSTABLE / JOIN / STATE messages.
   void on_message(const net::Message& m) override;

@@ -6,7 +6,6 @@
 // meter, and the shape of the critical-path CSV export.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "delivery_hash.hpp"
 #include "obs/observer.hpp"
 
 namespace fdgm::core {
@@ -26,29 +26,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Armed-causal invisibility: same harness and golden constants as
 // determinism_test.cpp, with causal edge recording switched on.
 // ---------------------------------------------------------------------
-
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
-struct HashSink final : abcast::DeliverSink {
-  Fnv* f = nullptr;
-  SimRun* run = nullptr;
-  int p = 0;
-  void on_deliver(const abcast::AppMessage& m) override {
-    f->mix(static_cast<std::uint64_t>(p));
-    f->mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.id.origin)));
-    f->mix(m.id.seq);
-    f->mix(std::bit_cast<std::uint64_t>(m.sent_at));
-    f->mix(std::bit_cast<std::uint64_t>(run->system().now()));
-  }
-};
 
 struct CausalRunResult {
   std::uint64_t hash = 0;
@@ -83,21 +60,13 @@ CausalRunResult causal_run(Algorithm algo, sim::SchedulerBackend backend, int th
     cfg.faults.add(e);
   }
   SimRun run(cfg, WorkloadConfig{.throughput = 200.0});
-  Fnv f;
-  std::vector<HashSink> sinks(static_cast<std::size_t>(cfg.n));
-  for (int p = 0; p < cfg.n; ++p) {
-    auto& sink = sinks[static_cast<std::size_t>(p)];
-    sink.f = &f;
-    sink.run = &run;
-    sink.p = p;
-    run.proc(p).set_deliver_sink(&sink);
-  }
+  DeliveryHash hash(run);
   run.start();
   run.run_until(3000.0);
-  f.mix(run.system().scheduler().executed());
+  hash.mix(run.system().scheduler().executed());
 
   CausalRunResult out;
-  out.hash = f.h;
+  out.hash = hash.value();
   const obs::Observer* o = run.observer();
   out.edges_dropped = o->edges_dropped();
   out.edges_recorded = o->edges_recorded();

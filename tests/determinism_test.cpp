@@ -8,38 +8,14 @@
 // before it would surface as a drifting results CSV.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 
 #include "core/experiment.hpp"
+#include "delivery_hash.hpp"
 #include "fault/fault_schedule.hpp"
 
 namespace fdgm::core {
 namespace {
-
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
-/// Mixes every local A-delivery of one process into the shared hash.
-struct HashSink final : abcast::DeliverSink {
-  Fnv* f = nullptr;
-  SimRun* run = nullptr;
-  int p = 0;
-  void on_deliver(const abcast::AppMessage& m) override {
-    f->mix(static_cast<std::uint64_t>(p));
-    f->mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.id.origin)));
-    f->mix(m.id.seq);
-    f->mix(std::bit_cast<std::uint64_t>(m.sent_at));
-    f->mix(std::bit_cast<std::uint64_t>(run->system().now()));
-  }
-};
 
 /// The golden-seed configuration: n = 5, wrong suspicions on, fixed seed.
 SimConfig golden_config(Algorithm algo) {
@@ -58,19 +34,11 @@ SimConfig golden_config(Algorithm algo) {
 /// the executed-event count.
 std::uint64_t run_hash(const SimConfig& cfg) {
   SimRun run(cfg, WorkloadConfig{.throughput = 200.0});
-  Fnv f;
-  std::vector<HashSink> sinks(static_cast<std::size_t>(cfg.n));
-  for (int p = 0; p < cfg.n; ++p) {
-    auto& sink = sinks[static_cast<std::size_t>(p)];
-    sink.f = &f;
-    sink.run = &run;
-    sink.p = p;
-    run.proc(p).set_deliver_sink(&sink);
-  }
+  DeliveryHash hash(run);
   run.start();
   run.run_until(3000.0);
-  f.mix(run.system().scheduler().executed());
-  return f.h;
+  hash.mix(run.system().scheduler().executed());
+  return hash.value();
 }
 
 std::uint64_t delivery_hash(Algorithm algo,

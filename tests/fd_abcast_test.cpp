@@ -5,65 +5,18 @@
 // behaviour.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "abcast/fd_abcast.hpp"
+#include "abcast_testing.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
 
 namespace fdgm::abcast {
 namespace {
 
-struct Fixture {
-  explicit Fixture(int n, fd::QosParams qp = {}, std::uint64_t seed = 1,
-                   FdAbcastConfig cfg = {})
-      : sys(n, {}, seed), fd(sys, qp) {
-    for (int i = 0; i < n; ++i)
-      procs.push_back(std::make_unique<FdAbcastProcess>(sys, i, fd.at(i), cfg));
-    fd.start();
-  }
-
-  /// Asserts the defining safety properties over the delivery logs:
-  /// integrity (no duplicates), uniform total order (logs are prefixes of
-  /// one another — crashed processes included), and, for the ids in
-  /// `must_deliver`, validity at every correct process.
-  void check_safety(const std::vector<MsgId>& must_deliver = {}) {
-    for (const auto& p : procs) {
-      std::vector<MsgId> seen;
-      for (const auto& m : p->log()) seen.push_back(m->id);
-      std::sort(seen.begin(), seen.end());
-      EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end())
-          << "duplicate delivery at " << p->id();
-    }
-    // Prefix consistency.
-    for (std::size_t a = 0; a < procs.size(); ++a) {
-      for (std::size_t b = a + 1; b < procs.size(); ++b) {
-        const auto& la = procs[a]->log();
-        const auto& lb = procs[b]->log();
-        const std::size_t k = std::min(la.size(), lb.size());
-        for (std::size_t i = 0; i < k; ++i)
-          ASSERT_EQ(la[i]->id, lb[i]->id)
-              << "order divergence at position " << i << " between " << a << " and " << b;
-      }
-    }
-    for (const MsgId& id : must_deliver) {
-      for (const auto& p : procs) {
-        if (sys.node(p->id()).crashed()) continue;
-        const auto& log = p->log();
-        EXPECT_TRUE(std::any_of(log.begin(), log.end(),
-                                [&](const AppMessagePtr& m) { return m->id == id; }))
-            << "message not delivered at correct process " << p->id();
-      }
-    }
-  }
-
-  net::System sys;
-  fd::QosFailureDetectorModel fd;
-  std::vector<std::unique_ptr<FdAbcastProcess>> procs;
-};
+using Fixture = StackFixture<FdAbcastProcess, FdAbcastConfig>;
 
 TEST(FdAbcast, SingleMessageDeliveredEverywhere) {
   Fixture f(3);
@@ -277,26 +230,17 @@ TEST(FdAbcast, DeterministicGivenSeed) {
       f.sys.scheduler().schedule_at(i * 3.0,
                                     [&f, i] { f.procs[static_cast<std::size_t>(i % 3)]->a_broadcast(); });
     f.sys.scheduler().run();
-    std::vector<MsgId> log;
-    for (const auto& m : f.procs[0]->log()) log.push_back(m->id);
-    return log;
+    return log_ids(*f.procs[0]);
   };
   EXPECT_EQ(run_once(7), run_once(7));
 }
 
 // ------------------------------------------------------------- property
 
-struct Param {
-  int n;
-  std::uint64_t seed;
-  int crashes;
-  bool suspicions;
-};
-
-class FdAbcastProperty : public ::testing::TestWithParam<Param> {};
+class FdAbcastProperty : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(FdAbcastProperty, SafetyUnderRandomFaultSchedules) {
-  const Param p = GetParam();
+  const SweepParam p = GetParam();
   fd::QosParams qp;
   qp.detection_time = 12.0;
   if (p.suspicions) {
@@ -306,44 +250,15 @@ TEST_P(FdAbcastProperty, SafetyUnderRandomFaultSchedules) {
   }
   Fixture f(p.n, qp, p.seed);
   sim::Rng rng(p.seed * 31 + 7);
-  std::vector<MsgId> ids;
-  for (int i = 0; i < 60; ++i) {
-    const double t = rng.uniform(0.0, 300.0);
-    const auto sender = static_cast<std::size_t>(
-        rng.uniform_int(0, p.n - 1));
-    f.sys.scheduler().schedule_at(t, [&f, &ids, sender] {
-      const MsgId id = f.procs[sender]->a_broadcast();
-      if (id.seq != 0) ids.push_back(id);
-    });
-  }
-  for (int c = 0; c < p.crashes; ++c)
-    f.sys.crash_at(c, rng.uniform(5.0, 200.0));
+  f.random_load(rng, p.crashes);
   f.sys.scheduler().run_until(20000.0);
   f.check_safety();
   // Liveness: messages from never-crashed senders delivered at correct
   // processes.
-  std::vector<MsgId> from_correct;
-  for (const MsgId& id : ids)
-    if (id.origin >= p.crashes) from_correct.push_back(id);
-  f.check_safety(from_correct);
+  f.check_safety(f.from_correct);
 }
 
-std::vector<Param> grid() {
-  std::vector<Param> out;
-  for (int n : {3, 5, 7})
-    for (std::uint64_t s : {11ULL, 22ULL, 33ULL, 44ULL})
-      for (int crashes : {0, (n - 1) / 2})
-        for (bool susp : {false, true}) out.push_back({n, s, crashes, susp});
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, FdAbcastProperty, ::testing::ValuesIn(grid()),
-                         [](const ::testing::TestParamInfo<Param>& info) {
-                           const auto& p = info.param;
-                           return "i" + std::to_string(info.index) + "_n" + std::to_string(p.n) +
-                                  "_c" + std::to_string(p.crashes) +
-                                  (p.suspicions ? "_susp" : "_clean");
-                         });
+INSTANTIATE_TEST_SUITE_P(Sweep, FdAbcastProperty, ::testing::ValuesIn(sweep_grid()), sweep_name);
 
 }  // namespace
 }  // namespace fdgm::abcast

@@ -4,59 +4,17 @@
 // variant, and property sweeps under random fault schedules.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "abcast/gm_abcast.hpp"
+#include "abcast_testing.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
 
 namespace fdgm::abcast {
 namespace {
 
-struct Fixture {
-  explicit Fixture(int n, fd::QosParams qp = {}, std::uint64_t seed = 1,
-                   GmAbcastConfig cfg = {})
-      : sys(n, {}, seed), fd(sys, qp) {
-    for (int i = 0; i < n; ++i)
-      procs.push_back(std::make_unique<GmAbcastProcess>(sys, i, fd.at(i), cfg));
-    fd.start();
-  }
-
-  void check_safety(const std::vector<MsgId>& must_deliver = {}) {
-    for (const auto& p : procs) {
-      std::vector<MsgId> seen;
-      for (const auto& m : p->log()) seen.push_back(m->id);
-      std::sort(seen.begin(), seen.end());
-      EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end())
-          << "duplicate delivery at " << p->id();
-    }
-    for (std::size_t a = 0; a < procs.size(); ++a) {
-      for (std::size_t b = a + 1; b < procs.size(); ++b) {
-        const auto& la = procs[a]->log();
-        const auto& lb = procs[b]->log();
-        const std::size_t k = std::min(la.size(), lb.size());
-        for (std::size_t i = 0; i < k; ++i)
-          ASSERT_EQ(la[i]->id, lb[i]->id)
-              << "order divergence at " << i << " between " << a << " and " << b;
-      }
-    }
-    for (const MsgId& id : must_deliver) {
-      for (const auto& p : procs) {
-        if (sys.node(p->id()).crashed()) continue;
-        const auto& log = p->log();
-        EXPECT_TRUE(std::any_of(log.begin(), log.end(),
-                                [&](const AppMessagePtr& m) { return m->id == id; }))
-            << "message not delivered at correct process " << p->id();
-      }
-    }
-  }
-
-  net::System sys;
-  fd::QosFailureDetectorModel fd;
-  std::vector<std::unique_ptr<GmAbcastProcess>> procs;
-};
+using Fixture = StackFixture<GmAbcastProcess, GmAbcastConfig>;
 
 TEST(GmAbcast, SingleMessageDeliveredEverywhere) {
   Fixture f(3);
@@ -327,26 +285,17 @@ TEST(GmAbcast, DeterministicGivenSeed) {
           i * 3.0, [&f, i] { f.procs[static_cast<std::size_t>(i % 3)]->a_broadcast(); });
     f.sys.crash_at(0, 11.0);
     f.sys.scheduler().run();
-    std::vector<MsgId> log;
-    for (const auto& m : f.procs[1]->log()) log.push_back(m->id);
-    return log;
+    return log_ids(*f.procs[1]);
   };
   EXPECT_EQ(run_once(9), run_once(9));
 }
 
 // ------------------------------------------------------------- property
 
-struct Param {
-  int n;
-  std::uint64_t seed;
-  int crashes;
-  bool suspicions;
-};
-
-class GmAbcastProperty : public ::testing::TestWithParam<Param> {};
+class GmAbcastProperty : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(GmAbcastProperty, SafetyUnderRandomFaultSchedules) {
-  const Param p = GetParam();
+  const SweepParam p = GetParam();
   fd::QosParams qp;
   qp.detection_time = 12.0;
   if (p.suspicions) {
@@ -356,16 +305,7 @@ TEST_P(GmAbcastProperty, SafetyUnderRandomFaultSchedules) {
   }
   Fixture f(p.n, qp, p.seed);
   sim::Rng rng(p.seed * 131 + 9);
-  std::vector<MsgId> ids;
-  for (int i = 0; i < 60; ++i) {
-    const double t = rng.uniform(0.0, 300.0);
-    const auto sender = static_cast<std::size_t>(rng.uniform_int(0, p.n - 1));
-    f.sys.scheduler().schedule_at(t, [&f, &ids, sender] {
-      const MsgId id = f.procs[sender]->a_broadcast();
-      if (id.seq != 0) ids.push_back(id);
-    });
-  }
-  for (int c = 0; c < p.crashes; ++c) f.sys.crash_at(c, rng.uniform(5.0, 200.0));
+  f.random_load(rng, p.crashes);
   f.sys.scheduler().run_until(30000.0);
   f.check_safety();
   // Liveness for messages from correct senders — but only when crashes and
@@ -374,30 +314,10 @@ TEST_P(GmAbcastProperty, SafetyUnderRandomFaultSchedules) {
   // permanently blocking the group.  That is the GM algorithm's
   // documented resiliency limit (paper §5.2 evaluates the two fault types
   // separately for exactly this reason), not a defect to assert against.
-  if (p.crashes == 0 || !p.suspicions) {
-    std::vector<MsgId> from_correct;
-    for (const MsgId& id : ids)
-      if (id.origin >= p.crashes) from_correct.push_back(id);
-    f.check_safety(from_correct);
-  }
+  if (p.crashes == 0 || !p.suspicions) f.check_safety(f.from_correct);
 }
 
-std::vector<Param> grid() {
-  std::vector<Param> out;
-  for (int n : {3, 5, 7})
-    for (std::uint64_t s : {11ULL, 22ULL, 33ULL, 44ULL})
-      for (int crashes : {0, (n - 1) / 2})
-        for (bool susp : {false, true}) out.push_back({n, s, crashes, susp});
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, GmAbcastProperty, ::testing::ValuesIn(grid()),
-                         [](const ::testing::TestParamInfo<Param>& info) {
-                           const auto& p = info.param;
-                           return "i" + std::to_string(info.index) + "_n" + std::to_string(p.n) +
-                                  "_c" + std::to_string(p.crashes) +
-                                  (p.suspicions ? "_susp" : "_clean");
-                         });
+INSTANTIATE_TEST_SUITE_P(Sweep, GmAbcastProperty, ::testing::ValuesIn(sweep_grid()), sweep_name);
 
 }  // namespace
 }  // namespace fdgm::abcast

@@ -7,7 +7,6 @@
 // counts and replica job counts.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -17,6 +16,7 @@
 
 #include "core/experiment.hpp"
 #include "core/runner.hpp"
+#include "delivery_hash.hpp"
 #include "fault/fault_schedule.hpp"
 #include "fault/injector.hpp"
 #include "net/system.hpp"
@@ -416,29 +416,6 @@ TEST(GrayDeterminism, FactorOneWindowsAreExactlyNeutral) {
   }
 }
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
-struct HashSink final : abcast::DeliverSink {
-  Fnv* f = nullptr;
-  core::SimRun* run = nullptr;
-  int p = 0;
-  void on_deliver(const abcast::AppMessage& m) override {
-    f->mix(static_cast<std::uint64_t>(p));
-    f->mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.id.origin)));
-    f->mix(m.id.seq);
-    f->mix(std::bit_cast<std::uint64_t>(m.sent_at));
-    f->mix(std::bit_cast<std::uint64_t>(run->system().now()));
-  }
-};
-
 /// Delivery-sequence hash of a run with all four gray kinds active at
 /// once, transport armed (so corruption is recovered, not lost).
 std::uint64_t gray_hash(core::Algorithm algo, sim::SchedulerBackend backend,
@@ -458,19 +435,11 @@ std::uint64_t gray_hash(core::Algorithm algo, sim::SchedulerBackend backend,
       "limp p0 x4 @800 for 600; drift p1 x0.7 @900 for 500; "
       "flap p0->p2 period 80 duty 0.5 @1000 for 400; corrupt 0.08 @1200 for 300");
   core::SimRun run(cfg, core::WorkloadConfig{.throughput = 200.0});
-  Fnv f;
-  std::vector<HashSink> sinks(static_cast<std::size_t>(cfg.n));
-  for (int p = 0; p < cfg.n; ++p) {
-    auto& sink = sinks[static_cast<std::size_t>(p)];
-    sink.f = &f;
-    sink.run = &run;
-    sink.p = p;
-    run.proc(p).set_deliver_sink(&sink);
-  }
+  core::DeliveryHash hash(run);
   run.start();
   run.run_until(3000.0);
-  f.mix(run.system().scheduler().executed());
-  return f.h;
+  hash.mix(run.system().scheduler().executed());
+  return hash.value();
 }
 
 // All four gray kinds at once must be bit-identical — delivery sequence
