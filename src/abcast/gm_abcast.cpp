@@ -84,7 +84,6 @@ class GmAbcastProcess::GmState final : public net::Payload {
 GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                                  GmAbcastConfig cfg)
     : AtomicBroadcastProcess(sys, self, cfg.batching),
-      fd_(&fd),
       cfg_(cfg),
       rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
       consensus_(sys, self, fd, rb_),
@@ -261,7 +260,7 @@ void GmAbcastProcess::try_deliver_sequencer() {
   const std::int64_t stable = *std::min_element(cover.begin(), cover.end());
   announced_ = deliverable;
   deliver_up_to(deliverable);
-  recent_delivered_.erase(recent_delivered_.begin(), recent_delivered_.upper_bound(stable));
+  forget_stable(stable);
   sys_->node(self_).multicast_others(
       view_.members, net::ProtocolId::kAtomicBroadcast,
       sys_->arena().make<DeliverMsg>(view_.id, deliverable, stable));
@@ -277,7 +276,10 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
     if (mit == msgs_.end()) break;
     const AppMessagePtr msg = *mit->second;
     ++deliver_sn_;
-    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, msg);
+    if (cfg_.uniform)
+      recent_delivered_.emplace(deliver_sn_, msg);
+    else
+      msg_at_.erase(it);  // no stability point, and nothing reads it again
     deliver_msg(msg);
   }
 }
@@ -328,8 +330,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (del->view_id != view_.id || frozen_ || !member_) return;
     announced_ = std::max(announced_, del->cum);
     deliver_up_to(std::min(announced_, ack_sn_));
-    recent_delivered_.erase(recent_delivered_.begin(),
-                            recent_delivered_.upper_bound(del->stable));
+    forget_stable(del->stable);
     if (announced_ > ack_sn_ && announced_ > requested_) {
       // Gap repair (post-rejoin): ask the sequencer for what we miss.
       requested_ = announced_;
@@ -340,6 +341,8 @@ void GmAbcastProcess::on_message(const net::Message& m) {
   }
   if (const auto* need = net::payload_cast<NeedMsg>(m)) {
     if (need->view_id != view_.id || !is_sequencer()) return;
+    // `from` (the requester's ack point) is at or above the stable point we
+    // pruned to, so a delivered sn in range is still in recent_delivered_.
     std::vector<std::pair<MsgId, std::int64_t>> pairs;
     const std::int64_t lo = std::max(need->from, sn_floor_);
     for (std::int64_t sn = lo + 1; sn <= std::min(need->to, next_sn_ - 1); ++sn) {
@@ -347,16 +350,10 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       if (it == msg_at_.end()) continue;
       pairs.emplace_back(it->second, sn);
       AppMessagePtr content = nullptr;
-      if (auto mit = msgs_.find(it->second); mit != msgs_.end()) {
+      if (auto mit = msgs_.find(it->second); mit != msgs_.end())
         content = *mit->second;
-      } else {
-        // Already delivered here: fetch from the log.
-        for (auto lit = log().rbegin(); lit != log().rend(); ++lit)
-          if ((*lit)->id == it->second) {
-            content = *lit;
-            break;
-          }
-      }
+      else if (auto rit = recent_delivered_.find(sn); rit != recent_delivered_.end())
+        content = rit->second;
       if (content != nullptr)
         sys_->node(self_).send(m.src, net::ProtocolId::kAtomicBroadcast,
                                sys_->arena().make<DataMsg>(content));
@@ -425,9 +422,13 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   deliver_sn_ = std::max(deliver_sn_, sn_floor_);
   announced_ = std::max(announced_, sn_floor_);
   requested_ = std::max(requested_, sn_floor_);
-  recent_delivered_.erase(recent_delivered_.begin(),
-                          recent_delivered_.upper_bound(sn_floor_));
+  forget_stable(sn_floor_);
   drop_mappings_above_floor();
+}
+
+void GmAbcastProcess::forget_stable(std::int64_t sn) {
+  recent_delivered_.erase(recent_delivered_.begin(), recent_delivered_.upper_bound(sn));
+  msg_at_.erase(msg_at_.begin(), msg_at_.upper_bound(sn));
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
@@ -480,8 +481,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   // live assignments of the current view and must be kept.
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
   drop_mappings_above_floor();  // our own leftovers from the dead view
-  recent_delivered_.erase(recent_delivered_.begin(),
-                          recent_delivered_.upper_bound(sn_floor_));
+  forget_stable(sn_floor_);
   for (const auto& [msg, sn] : st->known) {
     if (delivered(msg->id)) continue;
     if (!msgs_.contains(msg->id))

@@ -109,10 +109,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   void deliver_up_to(std::int64_t sn);
   void deliver_msg(AppMessagePtr msg);
   void drop_mappings_above_floor();
+  /// Forget sns at or below `sn` (recent_delivered_ and msg_at_): stable
+  /// or settled, so no view change or NEED repair asks for them again.
+  void forget_stable(std::int64_t sn);
   void send_buffered();
   [[nodiscard]] bool active_sequencer() const { return is_sequencer() && !frozen_; }
 
-  fd::FailureDetector* fd_;
   GmAbcastConfig cfg_;
   rbcast::ReliableBroadcast rb_;
   consensus::ConsensusService consensus_;
@@ -127,8 +129,8 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   std::list<AppMessagePtr> arrival_order_;  // known content, sequencing order
   std::unordered_map<MsgId, std::list<AppMessagePtr>::iterator, MsgIdHash> msgs_;  // its index
   std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;  // may precede the content
-  /// sn -> id.  At or below sn_floor_ kept for the run (NEED repair reads
-  /// delivered sns); above it the current view's, dropped at view change.
+  /// sn -> id of the current view, dropped at view change.  A delivered sn
+  /// stays until stable (uniform: NEED repair reads it) or goes at once.
   std::map<std::int64_t, MsgId> msg_at_;
 
   std::int64_t sn_floor_ = 0;    // everything <= floor is settled

@@ -15,6 +15,10 @@ namespace fdgm::obs {
 
 namespace {
 
+// Range (ms) and bin count of the per-phase latency histograms.
+constexpr double kHistMaxMs = 5000.0;
+constexpr std::size_t kHistBins = 250;
+
 // Process-global export claim (see Observer::set_export_paths).  The bench
 // driver forces --jobs 1 when exports are requested, so no worker thread
 // races the first armed Observer for the claim; the mutex is belt and
@@ -53,11 +57,11 @@ const char* counter_name(Counter c) {
 Observer::Observer(int num_processes, Config cfg)
     : n_(num_processes),
       cfg_(cfg),
-      submit_wait_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
-      ordering_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
-      delivery_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
+      submit_wait_hist_(0.0, kHistMaxMs, kHistBins),
+      ordering_hist_(0.0, kHistMaxMs, kHistBins),
+      delivery_hist_(0.0, kHistMaxMs, kHistBins),
       batch_hist_(0.0, 256.0, 64),
-      e2e_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
+      e2e_hist_(0.0, kHistMaxMs, kHistBins),
       next_window_(cfg.metrics_window_ms) {
   spans_.resize(static_cast<std::size_t>(n_));
   for (auto& slab : spans_) slab.reserve(cfg_.span_capacity);

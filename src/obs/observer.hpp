@@ -75,9 +75,6 @@ struct Config {
   /// --metrics-per-node export); off by default, the aggregate snapshot
   /// ring alone is kept.
   bool per_node_metrics = false;
-  /// Range/bin count of the per-phase latency histograms (ms).
-  double histogram_max_ms = 5000.0;
-  std::size_t histogram_bins = 250;
 };
 
 /// One message's lifecycle (timestamps in simulated ms; -1 = not seen).

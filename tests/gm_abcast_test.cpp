@@ -4,12 +4,14 @@
 // variant, and property sweeps under random fault schedules.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "abcast/gm_abcast.hpp"
 #include "abcast_testing.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
+#include "sim/rng.hpp"
 
 namespace fdgm::abcast {
 namespace {
@@ -264,6 +266,49 @@ TEST(GmAbcast, NonUniformVariantKeepsTotalOrderWithoutFailures) {
   f.check_safety(ids);
   // Two multicasts per message, no acks/delivers: wire usage stays low.
   EXPECT_LE(f.sys.network().network_uses(), 2u * 50u);
+}
+
+TEST(GmAbcast, NeedRepairResendsSnsTheSequencerAlreadyDelivered) {
+  // Every p0 -> p2 frame is dropped (checksum mismatch, no transport) for
+  // the first 100 ms, so p2 misses the sequencer's SEQNUMs and DELIVERs
+  // and p0's own DATA.  p0 and p1 form a majority and deliver anyway.
+  // The first DELIVER after the window runs ahead of p2's ack point: p2
+  // sends a NEED and p0 answers with sns it has delivered already — the
+  // content of p0's own messages can reach p2 only through that answer.
+  Fixture f(3);
+  net::Network& net = f.sys.network();
+  net.enable_checksums();
+  sim::Rng rng(5);
+  net.set_corrupt(1.0, &rng, {{0}, {2}});
+  f.sys.scheduler().schedule_at(100.0, [&net] { net.clear_corrupt(); });
+
+  constexpr std::uint8_t kNeedKind = 12;  // GmAbcastProcess::NeedMsg
+  int needs = 0;
+  std::size_t behind = 0;  // sequencer deliveries p2 lacked at the first NEED
+  net.set_delivery_tap([&](const net::Message& m, net::ProcessId dst) {
+    if (m.payload->payload_proto() != net::ProtocolId::kAtomicBroadcast ||
+        m.payload->payload_kind() != kNeedKind)
+      return;
+    EXPECT_EQ(m.src, 2);
+    EXPECT_EQ(dst, 0);
+    if (needs++ == 0) behind = f.procs[0]->delivered_count() - f.procs[2]->delivered_count();
+  });
+
+  std::vector<MsgId> ids;
+  for (int i = 0; i < 12; ++i)
+    f.sys.scheduler().schedule_at(5.0 + i * 7.0, [&f, &ids, i] {
+      ids.push_back(f.procs[static_cast<std::size_t>(i % 3)]->a_broadcast());
+    });
+  f.sys.scheduler().schedule_at(150.0, [&f, &ids] { ids.push_back(f.procs[1]->a_broadcast()); });
+  f.sys.scheduler().run();
+
+  EXPECT_GT(net.corruption_detected(), 0u);
+  EXPECT_EQ(f.procs[2]->membership().views_installed(), 0u);  // repaired in the view
+  EXPECT_GE(needs, 1);
+  EXPECT_GT(behind, 0u);
+  f.check_safety(ids);
+  EXPECT_EQ(log_ids(*f.procs[2]), log_ids(*f.procs[0]));
+  EXPECT_EQ(f.procs[2]->delivered_count(), ids.size());
 }
 
 TEST(GmAbcast, CrashedProcessBroadcastIsNoop) {
