@@ -1,6 +1,7 @@
 #include "abcast/fd_abcast.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/observer.hpp"
@@ -48,11 +49,10 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
+      rb_(sys, self),
       consensus_(sys, self, fd, rb_) {
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
-  rb_.register_client(kDataTag, [this](const rbcast::RbId& id, net::ProcessId /*origin*/,
-                                       const net::PayloadPtr& inner) { on_data(id, inner); });
+  rb_.register_client(kDataTag, [this](net::PayloadPtr inner) { on_data(inner); });
   consensus_.register_context(
       kAbcastContext,
       consensus::ConsensusService::ContextConfig{
@@ -184,42 +184,29 @@ void FdAbcastProcess::on_message(const net::Message& m) {
   throw std::logic_error("FdAbcastProcess: foreign payload");
 }
 
-void FdAbcastProcess::on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner) {
+void FdAbcastProcess::on_data(net::PayloadPtr inner) {
   bool admitted = false;
   if (const AppMessage* msg = net::payload_cast<AppMessage>(inner)) {
-    admitted = admit_data(*msg, rb_id);
+    admitted = admit_data(*msg);
   } else if (const AppBatch* batch = net::payload_cast<AppBatch>(inner)) {
-    for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m, rb_id);
+    for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m);
   } else {
     throw std::logic_error("FdAbcastProcess: bad data payload");
   }
-  if (!admitted) {
-    rb_.release(rb_id);  // late relay; everything in it already delivered
-    return;
-  }
+  if (!admitted) return;  // everything in it already delivered (e.g. by a sync)
   process_ready_decisions();  // a decision may have been waiting for this content
   maybe_start_next();
 }
 
-bool FdAbcastProcess::admit_data(const AppMessage& msg, const rbcast::RbId& rb_id) {
+bool FdAbcastProcess::admit_data(const AppMessage& msg) {
   if (delivered(msg.id)) return false;
-  Pending& p = pending_.try_emplace(msg.id, &msg).first->second;
-  if (!p.rb_id) {
-    p.rb_id = rb_id;
-    ++rb_refs_[rb_id];
-  }
+  pending_.try_emplace(msg.id, &msg);
   return true;
 }
 
 void FdAbcastProcess::erase_pending(PendingMap::iterator it) {
-  const std::optional<rbcast::RbId> rb_id = it->second.rb_id;
   if (it->second.proposed_in != 0) --proposed_count_;
   pending_.erase(it);
-  if (!rb_id) return;
-  if (auto cit = rb_refs_.find(*rb_id); cit != rb_refs_.end() && --cit->second == 0) {
-    rb_refs_.erase(cit);
-    rb_.release(*rb_id);
-  }
 }
 
 int FdAbcastProcess::offset_for(std::uint64_t number) const {

@@ -30,8 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -108,9 +106,6 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   struct Pending {
     explicit Pending(AppMessagePtr msg) : msg(msg) {}
     AppMessagePtr msg;
-    /// rbcast slot whose retention it shares; unset while its content is
-    /// known only from a sync response.
-    std::optional<rbcast::RbId> rb_id;
     /// Highest instance whose proposal of ours included it, 0 = none.
     /// Unmarked ids trigger (and join) the next instance; marks at or below
     /// a processed decision are cleared so lost proposals are re-proposed.
@@ -118,12 +113,11 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   };
   using PendingMap = std::map<MsgId, Pending>;
 
-  void on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner);
+  void on_data(net::PayloadPtr inner);
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
-  bool admit_data(const AppMessage& msg, const rbcast::RbId& rb_id);
-  /// Drops the entry of a message being A-delivered and its share of the
-  /// rbcast retention (a batch's k messages share one slot).
+  bool admit_data(const AppMessage& msg);
+  /// Drops the entry of a message being A-delivered.
   void erase_pending(PendingMap::iterator it);
   void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
   void maybe_start_next();
@@ -152,9 +146,6 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   /// entry is erased when its message is A-delivered.
   PendingMap pending_;
   std::size_t proposed_count_ = 0;  // entries with proposed_in != 0
-  /// Pending messages still retaining each rbcast slot (1 for singles, k
-  /// for a batch; released as its messages are delivered).
-  std::unordered_map<rbcast::RbId, std::size_t, rbcast::RbIdHash> rb_refs_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply
   std::map<std::uint64_t, const Proposal*> ready_decisions_;

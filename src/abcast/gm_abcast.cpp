@@ -85,9 +85,9 @@ GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
                                  GmAbcastConfig cfg)
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       cfg_(cfg),
-      rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
+      rb_(sys, self),
       consensus_(sys, self, fd, rb_),
-      membership_(sys, self, fd, rb_, consensus_, *this) {
+      membership_(sys, self, fd, consensus_, *this) {
   view_ = membership_.view();
   acks_.assign(static_cast<std::size_t>(sys.n()), kNoAck);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);

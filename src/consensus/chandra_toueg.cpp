@@ -265,9 +265,7 @@ ConsensusService::ConsensusService(net::System& sys, net::ProcessId self,
                                    fd::FailureDetector& fd, rbcast::ReliableBroadcast& rb)
     : sys_(&sys), self_(self), fd_(&fd), rb_(&rb) {
   sys.node(self).register_handler(net::ProtocolId::kConsensus, this);
-  rb.register_client(kDecideTag,
-                     [this](const rbcast::RbId& id, net::ProcessId origin,
-                            const net::PayloadPtr& inner) { on_decide_rb(id, origin, inner); });
+  rb.register_client(kDecideTag, [this](net::PayloadPtr inner) { on_decide_rb(inner); });
 }
 
 ConsensusService::~ConsensusService() {
@@ -388,21 +386,12 @@ void ConsensusService::decide(const InstanceKey& key, const std::vector<net::Pro
   rb_->broadcast_group(kDecideTag, members, msg);
 }
 
-void ConsensusService::on_decide_rb(const rbcast::RbId& id, net::ProcessId /*origin*/,
-                                    net::PayloadPtr inner) {
+void ConsensusService::on_decide_rb(net::PayloadPtr inner) {
   const ConsensusMsg* cm = net::payload_cast<ConsensusMsg>(inner);
   if (cm == nullptr || cm->kind != ConsensusMsg::Kind::kDecide)
     throw std::logic_error("ConsensusService: bad decision payload");
-  handle_decision(cm);
-  // Release even when the decision was a duplicate or already settled by
-  // close_below: retaining it would re-multicast a stale decision to
-  // everybody on every later suspicion of its origin.
-  rb_->release(id);
-}
-
-bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
-  if (below_floor(cm->key)) return false;  // settled out of band already
-  if (!decided_.insert(cm->key).second) return false;  // duplicate decision
+  if (below_floor(cm->key)) return;              // settled out of band already
+  if (!decided_.insert(cm->key).second) return;  // duplicate decision
   if (auto it = instances_.find(cm->key); it != instances_.end()) {
     // halt() now; retire later.  The decision can arrive synchronously
     // from inside the instance's own try_progress (the coordinator's local
@@ -421,7 +410,6 @@ bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
   auto cit = contexts_.find(cm->key.context);
   if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
   cit->second.on_decide(cm->key, cm->value);
-  return true;
 }
 
 }  // namespace fdgm::consensus

@@ -228,11 +228,9 @@ class ConsensusService final : public net::Layer {
               net::PayloadPtr value);
 
  private:
-  void on_decide_rb(const rbcast::RbId& id, net::ProcessId origin, net::PayloadPtr inner);
+  /// Applies an R-delivered decision; repeats and settled instances are ignored.
+  void on_decide_rb(net::PayloadPtr inner);
   void dispatch(net::ProcessId from, const ConsensusMsg* m);
-  /// Applies a decision (from rbcast or a direct relay); returns true when
-  /// it was new.
-  bool handle_decision(const ConsensusMsg* cm);
   [[nodiscard]] bool below_floor(const InstanceKey& key) const {
     auto it = closed_floor_.find(key.context);
     return it != closed_floor_.end() && key.number < it->second;

@@ -97,15 +97,9 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 // ------------------------------------------------------------ construction
 
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                                 rbcast::ReliableBroadcast& rb,
                                  consensus::ConsensusService& consensus,
                                  MembershipClient& client)
-    : sys_(&sys),
-      self_(self),
-      fd_(&fd),
-      rb_(&rb),
-      consensus_(&consensus),
-      client_(&client) {
+    : sys_(&sys), self_(self), fd_(&fd), consensus_(&consensus), client_(&client) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
@@ -268,7 +262,7 @@ void GroupMembership::schedule_attempt_refresh() {
 // ----------------------------------------------------------------- decision
 
 void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
-  if (key.number != view_.id) return;  // stale (relayed) or future decision
+  if (key.number != view_.id) return;  // stale or future decision
   if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
   const MembershipProposal* d = net::payload_cast<MembershipProposal>(value);
   if (d == nullptr) throw std::logic_error("GroupMembership: bad decision payload");

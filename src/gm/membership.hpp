@@ -38,7 +38,6 @@
 #include "fd/failure_detector.hpp"
 #include "gm/view.hpp"
 #include "net/system.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::gm {
 
@@ -95,8 +94,7 @@ class MembershipClient {
 class GroupMembership final : public net::Layer, public fd::SuspicionListener {
  public:
   GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                  rbcast::ReliableBroadcast& rb, consensus::ConsensusService& consensus,
-                  MembershipClient& client);
+                  consensus::ConsensusService& consensus, MembershipClient& client);
   ~GroupMembership() override;
 
   /// Current view at this process.
@@ -162,7 +160,6 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   net::System* sys_;
   net::ProcessId self_;
   fd::FailureDetector* fd_;
-  rbcast::ReliableBroadcast* rb_;
   consensus::ConsensusService* consensus_;
   MembershipClient* client_;
 

@@ -1,7 +1,7 @@
 // Bump-pointer arena owning every payload of one simulated run.
 //
 // Payloads are allocated once, shared by reference for as long as any
-// layer retains them (delivery logs, relay buffers, held messages) and
+// layer retains them (delivery logs, pending sets, held messages) and
 // freed wholesale when the run — the owning net::System — is destroyed.
 // This removes the per-receiver shared_ptr refcount traffic of the old
 // payload model from the hot path; the cost is that a run's payload

@@ -15,7 +15,7 @@ namespace fdgm::obs {
 
 namespace {
 
-// Range (ms) and bin count of the per-phase latency histograms.
+// Range (ms) and bin count of the end-to-end latency histogram.
 constexpr double kHistMaxMs = 5000.0;
 constexpr std::size_t kHistBins = 250;
 
@@ -57,9 +57,6 @@ const char* counter_name(Counter c) {
 Observer::Observer(int num_processes, Config cfg)
     : n_(num_processes),
       cfg_(cfg),
-      submit_wait_hist_(0.0, kHistMaxMs, kHistBins),
-      ordering_hist_(0.0, kHistMaxMs, kHistBins),
-      delivery_hist_(0.0, kHistMaxMs, kHistBins),
       batch_hist_(0.0, 256.0, 64),
       e2e_hist_(0.0, kHistMaxMs, kHistBins),
       next_window_(cfg.metrics_window_ms) {
@@ -169,9 +166,6 @@ void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node)
   if (s->ordered < 0.0) s->ordered = now;
   if (s->order_start < 0.0) s->order_start = s->submit;
   if (s->submit < 0.0) return;  // untracked origin; nothing to decompose
-  submit_wait_hist_.add(s->order_start - s->submit);
-  ordering_hist_.add(s->ordered - s->order_start);
-  delivery_hist_.add(s->delivered - s->ordered);
   e2e_hist_.add(s->delivered - s->submit);
 }
 

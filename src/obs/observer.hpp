@@ -194,9 +194,6 @@ class Observer {
   [[nodiscard]] std::size_t spans_recorded() const;
   /// Phase sums over messages *submitted* in [from, to) and delivered.
   [[nodiscard]] PhaseTotals phase_totals(double from, double to) const;
-  [[nodiscard]] const util::Histogram& submit_wait_hist() const { return submit_wait_hist_; }
-  [[nodiscard]] const util::Histogram& ordering_hist() const { return ordering_hist_; }
-  [[nodiscard]] const util::Histogram& delivery_hist() const { return delivery_hist_; }
   [[nodiscard]] const util::Histogram& batch_hist() const { return batch_hist_; }
   [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
 
@@ -246,9 +243,6 @@ class Observer {
   std::vector<std::uint64_t> retx_origin_;
   std::vector<std::size_t> reorder_peak_;
   std::uint64_t spans_dropped_ = 0;
-  util::Histogram submit_wait_hist_;
-  util::Histogram ordering_hist_;
-  util::Histogram delivery_hist_;
   util::Histogram batch_hist_;
   util::Histogram e2e_hist_;
 

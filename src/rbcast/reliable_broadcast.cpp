@@ -5,15 +5,12 @@
 
 namespace fdgm::rbcast {
 
-ReliableBroadcast::ReliableBroadcast(net::System& sys, net::ProcessId self,
-                                     fd::FailureDetector& fd, RbConfig cfg)
-    : sys_(&sys), self_(self), fd_(&fd), cfg_(cfg) {
+ReliableBroadcast::ReliableBroadcast(net::System& sys, net::ProcessId self)
+    : sys_(&sys), self_(self) {
   sys.node(self).register_handler(net::ProtocolId::kReliableBroadcast, this);
-  fd.add_listener(this);
 }
 
 ReliableBroadcast::~ReliableBroadcast() {
-  fd_->remove_listener(this);
   sys_->node(self_).register_handler(net::ProtocolId::kReliableBroadcast, nullptr);
 }
 
@@ -23,74 +20,30 @@ void ReliableBroadcast::register_client(int tag, DeliverFn fn) {
 }
 
 void ReliableBroadcast::broadcast(int tag, net::PayloadPtr inner) {
-  broadcast_group(tag, {}, inner);
+  broadcast_group(tag, sys_->all(), inner);
 }
 
 void ReliableBroadcast::broadcast_group(int tag, const std::vector<net::ProcessId>& group,
                                         net::PayloadPtr inner) {
-  const RbPayload* p =
-      sys_->arena().make<RbPayload>(RbId{self_, next_seq_++}, tag, inner, group);
-  // Deliver locally first (counts as the self copy of the multicast), then
-  // put one multicast on the wire.  handle() is idempotent, so the self
-  // copy delivered by the network later is ignored.
-  const std::vector<net::ProcessId>& dsts = p->group.empty() ? sys_->all() : p->group;
-  sys_->node(self_).multicast(dsts, net::ProtocolId::kReliableBroadcast, p);
-  handle(p);
+  const RbPayload* p = sys_->arena().make<RbPayload>(tag, inner);
+  // One multicast on the wire, loopback copy included (it occupies the
+  // sender's slot of the multicast and is dropped on arrival), then the
+  // local delivery.
+  sys_->node(self_).multicast(group, net::ProtocolId::kReliableBroadcast, p);
+  deliver(p);
 }
 
 void ReliableBroadcast::on_message(const net::Message& m) {
   const RbPayload* p = net::payload_cast<RbPayload>(m);
   if (p == nullptr) throw std::logic_error("ReliableBroadcast: foreign payload");
-  handle(p);
+  if (m.src == self_) return;  // our own loopback copy: delivered at broadcast time
+  deliver(p);
 }
 
-void ReliableBroadcast::release(const RbId& id) {
-  auto it = seen_.find(id);
-  if (it == seen_.end()) return;
-  if (it->second.payload != nullptr) {
-    it->second.payload = nullptr;
-    --retained_;
-  }
-  // Without the relay path, the duplicate-suppression marker only guards
-  // against the origin's own loopback copy: once that was absorbed (or
-  // when we are not the origin, so no duplicate can ever arrive), the
-  // entry can go.  This keeps seen_ bounded by the release backlog
-  // instead of the run's whole history — at large n the historical map
-  // dominated both memory and cache traffic.
-  if (!cfg_.relay_on_suspicion && (id.origin != self_ || it->second.loopback_absorbed))
-    seen_.erase(it);
-}
-
-void ReliableBroadcast::handle(const RbPayload* p) {
-  auto [it, inserted] = seen_.try_emplace(p->id, Seen{p, false});
-  if (!inserted) {  // duplicate (relay or self copy)
-    if (!cfg_.relay_on_suspicion && p->id.origin == self_) {
-      it->second.loopback_absorbed = true;
-      // Already released: the entry was only waiting for this duplicate.
-      if (it->second.payload == nullptr) seen_.erase(it);
-    }
-    return;
-  }
-  ++retained_;
+void ReliableBroadcast::deliver(const RbPayload* p) {
   auto cit = clients_.find(p->client_tag);
   if (cit == clients_.end()) throw std::logic_error("ReliableBroadcast: unknown client tag");
-  cit->second(p->id, p->id.origin, p->inner);
-  // If the origin is *already* suspected when the message first arrives,
-  // relay immediately: the suspicion edge will not fire again.
-  if (cfg_.relay_on_suspicion && fd_->suspects(p->id.origin)) on_suspect(p->id.origin);
-}
-
-void ReliableBroadcast::on_suspect(net::ProcessId s) {
-  if (!cfg_.relay_on_suspicion) return;
-  // Relay every message of origin s that we have and have not relayed yet.
-  for (auto& [id, entry] : seen_) {
-    if (id.origin != s || entry.relayed || entry.payload == nullptr) continue;
-    entry.relayed = true;
-    ++relays_;
-    const std::vector<net::ProcessId>& dsts =
-        entry.payload->group.empty() ? sys_->all() : entry.payload->group;
-    sys_->node(self_).multicast(dsts, net::ProtocolId::kReliableBroadcast, entry.payload);
-  }
+  cit->second(p->inner);
 }
 
 }  // namespace fdgm::rbcast

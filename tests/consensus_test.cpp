@@ -38,7 +38,7 @@ struct Fixture {
       : sys(n, {}, seed), fd(sys, qp) {
     decisions.assign(static_cast<std::size_t>(n), {});
     for (int i = 0; i < n; ++i) {
-      rbs.push_back(std::make_unique<rbcast::ReliableBroadcast>(sys, i, fd.at(i)));
+      rbs.push_back(std::make_unique<rbcast::ReliableBroadcast>(sys, i));
       services.push_back(std::make_unique<ConsensusService>(sys, i, fd.at(i), *rbs.back()));
       auto* slot = &decisions[static_cast<std::size_t>(i)];
       services.back()->register_context(

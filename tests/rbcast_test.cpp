@@ -1,14 +1,15 @@
-// Tests of the reliable broadcast layer: single-multicast fast path,
-// duplicate suppression, relay on suspicion, garbage collection, and
-// client-tag routing.
+// Tests of the reliable broadcast layer: one multicast per broadcast,
+// local-first delivery, loopback suppression, client-tag routing, and
+// at-most-once delivery under frame loss and a crash/restart.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
-#include "fd/qos_model.hpp"
 #include "net/system.hpp"
 #include "rbcast/reliable_broadcast.hpp"
+#include "transport/transport.hpp"
 
 namespace fdgm::rbcast {
 namespace {
@@ -24,24 +25,21 @@ class Body final : public net::Payload {
 };
 
 struct Fixture {
-  explicit Fixture(int n, fd::QosParams qp = {}) : sys(n, {}, 1), fd(sys, qp) {
+  explicit Fixture(int n, transport::Config tcfg = {}) : sys(n, {}, 1, {}, tcfg) {
     deliveries.reserve(static_cast<std::size_t>(n));  // lambdas keep pointers
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, fd.at(i)));
+      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i));
       auto* log = &deliveries.emplace_back();
-      stacks.back()->register_client(
-          kTag, [log](const RbId&, net::ProcessId origin, net::PayloadPtr p) {
-            const Body* b = net::payload_cast<Body>(p);
-            log->emplace_back(origin, b != nullptr ? b->value : -1);
-          });
+      stacks.back()->register_client(kTag, [log](net::PayloadPtr p) {
+        const Body* b = net::payload_cast<Body>(p);
+        log->push_back(b != nullptr ? b->value : -1);
+      });
     }
-    fd.start();
   }
 
   net::System sys;
-  fd::QosFailureDetectorModel fd;
   std::vector<std::unique_ptr<ReliableBroadcast>> stacks;
-  std::vector<std::vector<std::pair<net::ProcessId, int>>> deliveries;
+  std::vector<std::vector<int>> deliveries;
 };
 
 TEST(Rbcast, EveryoneDeliversOnce) {
@@ -50,7 +48,7 @@ TEST(Rbcast, EveryoneDeliversOnce) {
   f.sys.scheduler().run();
   for (int p = 0; p < 4; ++p) {
     ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u) << p;
-    EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 7));
+    EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], 7);
   }
 }
 
@@ -59,7 +57,6 @@ TEST(Rbcast, FailureFreeCostsOneWireSlot) {
   f.stacks[2]->broadcast(kTag, f.sys.arena().make<Body>(1));
   f.sys.scheduler().run();
   EXPECT_EQ(f.sys.network().network_uses(), 1u);
-  for (const auto& st : f.stacks) EXPECT_EQ(st->relays(), 0u);
 }
 
 TEST(Rbcast, SenderDeliversLocallyImmediately) {
@@ -78,58 +75,8 @@ TEST(Rbcast, OrderPreservedPerOrigin) {
   for (int p = 0; p < 3; ++p) {
     ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 5u);
     for (int i = 0; i < 5; ++i)
-      EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)].second, i);
+      EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)], i);
   }
-}
-
-TEST(Rbcast, SuspicionTriggersRelay) {
-  fd::QosParams qp;
-  qp.detection_time = 10.0;
-  Fixture f(3, qp);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(3));
-  f.sys.scheduler().run();
-  f.sys.crash(0);
-  f.sys.scheduler().run();  // detection at +10ms -> relays fire
-  std::uint64_t total_relays = 0;
-  for (const auto& st : f.stacks) total_relays += st->relays();
-  EXPECT_EQ(total_relays, 2u);  // p1 and p2 each relay once
-  // Still delivered exactly once everywhere.
-  for (int p = 1; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u);
-}
-
-TEST(Rbcast, RelayHappensAtMostOncePerMessage) {
-  fd::QosParams qp;
-  qp.wrong_suspicions = true;
-  qp.mistake_recurrence = 50.0;
-  qp.mistake_duration = 1.0;
-  Fixture f(3, qp);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(3));
-  f.sys.scheduler().run_until(5000.0);  // many suspicion edges of p0
-  EXPECT_LE(f.stacks[1]->relays(), 1u);
-  EXPECT_LE(f.stacks[2]->relays(), 1u);
-  EXPECT_EQ(f.deliveries[1].size(), 1u);
-}
-
-TEST(Rbcast, ReleasedMessagesAreNotRelayed) {
-  fd::QosParams qp;
-  qp.detection_time = 10.0;
-  Fixture f(3, qp);
-  RbId seen_id{};
-  // Re-register a client on stack 1 that releases immediately: use a
-  // separate tag to keep the fixture's logging client.
-  f.stacks[1]->register_client(2, [&](const RbId& id, net::ProcessId, const net::PayloadPtr&) {
-    seen_id = id;
-    f.stacks[1]->release(id);
-  });
-  f.stacks[0]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[2]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(9));
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->retained(), 0u);
-  f.sys.crash(0);
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->relays(), 0u);
-  EXPECT_EQ(f.stacks[2]->relays(), 1u);  // did not release, so it relays
 }
 
 TEST(Rbcast, GroupBroadcastReachesGroupOnly) {
@@ -145,8 +92,8 @@ TEST(Rbcast, GroupBroadcastReachesGroupOnly) {
 TEST(Rbcast, DistinctClientTagsAreIsolated) {
   Fixture f(2);
   std::vector<int> tag2;
-  f.stacks[0]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[1]->register_client(2, [&](const RbId&, net::ProcessId, const net::PayloadPtr& p) {
+  f.stacks[0]->register_client(2, [](net::PayloadPtr) {});
+  f.stacks[1]->register_client(2, [&](net::PayloadPtr p) {
     tag2.push_back(net::payload_cast<Body>(p)->value);
   });
   f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(77));
@@ -157,17 +104,7 @@ TEST(Rbcast, DistinctClientTagsAreIsolated) {
 
 TEST(Rbcast, DuplicateClientTagRejected) {
   Fixture f(2);
-  EXPECT_THROW(f.stacks[0]->register_client(
-                   kTag, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {}),
-               std::logic_error);
-}
-
-TEST(Rbcast, RetainedCountTracksLifecycle) {
-  Fixture f(2);
-  EXPECT_EQ(f.stacks[1]->retained(), 0u);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(1));
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->retained(), 1u);
+  EXPECT_THROW(f.stacks[0]->register_client(kTag, [](net::PayloadPtr) {}), std::logic_error);
 }
 
 TEST(Rbcast, CrashedReceiverDoesNotDeliver) {
@@ -186,6 +123,43 @@ TEST(Rbcast, ManyOriginsInterleaved) {
       f.stacks[static_cast<std::size_t>(p)]->broadcast(kTag, f.sys.arena().make<Body>(round));
   f.sys.scheduler().run();
   for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 30u);
+}
+
+// The loopback drop is the only duplicate suppression rbcast does, so it
+// rests on the channels never handing a process the same frame twice: the
+// transport recovers lost frames exactly once, also across a restart.
+TEST(Rbcast, LossAndRestartDeliverEachBroadcastAtMostOnce) {
+  constexpr int kN = 4;
+  constexpr int kRounds = 60;
+  Fixture f(kN, transport::Config{.enabled = true});
+  sim::Rng loss_rng(11);
+  f.sys.network().set_loss(0.2, &loss_rng);
+  f.sys.crash_at(3, 40.0);
+  f.sys.restart_at(3, 150.0);
+  std::set<int> sent;
+  for (int round = 0; round < kRounds; ++round) {
+    f.sys.scheduler().schedule_at(5.0 * round, [&f, &sent, round] {
+      for (int p = 0; p < kN; ++p) {
+        if (f.sys.node(p).crashed()) continue;
+        sent.insert(round * kN + p);
+        f.stacks[static_cast<std::size_t>(p)]->broadcast(
+            kTag, f.sys.arena().make<Body>(round * kN + p));
+      }
+    });
+  }
+  f.sys.scheduler().run_until(5.0 * kRounds);
+  f.sys.network().clear_loss();
+  f.sys.scheduler().run_until(f.sys.now() + 5000.0);
+
+  EXPECT_GT(f.sys.network().lost_deliveries(), 0u);
+  for (int p = 0; p < kN; ++p) {
+    const std::vector<int>& got = f.deliveries[static_cast<std::size_t>(p)];
+    const std::set<int> unique(got.begin(), got.end());
+    EXPECT_EQ(unique.size(), got.size()) << "p" << p << " delivered a value twice";
+    if (p != 3) {
+      EXPECT_EQ(unique, sent) << "p" << p;
+    }
+  }
 }
 
 }  // namespace
