@@ -9,8 +9,7 @@
 namespace fdgm::abcast {
 
 namespace {
-constexpr int kDataTag = 0x41424344;        // "ABCD": data dissemination channel
-constexpr std::uint32_t kAbcastContext = 0;  // consensus context of the FD algorithm
+constexpr int kDataTag = 0x41424344;  // "ABCD": data dissemination channel
 /// Crash-recovery catch-up: period (ms) of the watchdog that re-requests a
 /// log sync from the peers while the recovered process is behind.
 constexpr double kSyncRetryMs = 100.0;
@@ -50,24 +49,21 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
       fd_(&fd),
       cfg_(cfg),
       rb_(sys, self),
-      consensus_(sys, self, fd, rb_) {
+      consensus_(sys, self, fd, rb_,
+                 consensus::ConsensusService::Client{
+                     .join = [this](std::uint64_t number) -> std::optional<consensus::StartInfo> {
+                       // Traffic for instances beyond the pipeline window is
+                       // buffered until our decisions catch up (retry_buffered
+                       // is called as they are processed).
+                       if (!can_start(number)) return std::nullopt;
+                       return make_start_info(number);
+                     },
+                     .on_decide = [this](std::uint64_t number, const net::PayloadPtr& value) {
+                       on_decide(number, value);
+                     },
+                 }) {
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
   rb_.register_client(kDataTag, [this](net::PayloadPtr inner) { on_data(inner); });
-  consensus_.register_context(
-      kAbcastContext,
-      consensus::ConsensusService::ContextConfig{
-          .join =
-              [this](const consensus::InstanceKey& key)
-                  -> std::optional<consensus::StartInfo> {
-                // Traffic for instances beyond the pipeline window is
-                // buffered until our decisions catch up (retry_buffered is
-                // called as they are processed).
-                if (!can_start(key.number)) return std::nullopt;
-                return make_start_info(key.number);
-              },
-          .on_decide = [this](const consensus::InstanceKey& key,
-                              const net::PayloadPtr& value) { on_decide(key, value); },
-      });
 }
 
 FdAbcastProcess::~FdAbcastProcess() {
@@ -166,7 +162,7 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
       winners_.erase(winners_.begin());
     ready_decisions_.erase(ready_decisions_.begin(),
                            ready_decisions_.lower_bound(next_to_process_));
-    consensus_.close_below(kAbcastContext, next_to_process_);
+    consensus_.close_below(next_to_process_);
   }
   process_ready_decisions();
   maybe_start_next();
@@ -254,16 +250,15 @@ void FdAbcastProcess::maybe_start_next() {
   if (proposed_count_ == pending_.size()) return;
   std::uint64_t k = next_to_process_;
   while (can_start(k)) {
-    const consensus::InstanceKey key{kAbcastContext, k};
-    if (!consensus_.running(key) && !consensus_.decided(key)) {
-      consensus_.start(key, make_start_info(k));
+    if (!consensus_.running(k) && !consensus_.decided(k)) {
+      consensus_.start(k, make_start_info(k));
       return;
     }
     ++k;
   }
 }
 
-void FdAbcastProcess::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
+void FdAbcastProcess::on_decide(std::uint64_t number, const net::PayloadPtr& value) {
   const Proposal* prop = net::payload_cast<Proposal>(value);
   if (prop == nullptr) throw std::logic_error("FdAbcastProcess: bad decision payload");
   // A consensus decision fixes the global order of every message it
@@ -272,7 +267,7 @@ void FdAbcastProcess::on_decide(const consensus::InstanceKey& key, const net::Pa
   if (auto* o = sys_->obs()) {
     for (const MsgId& id : prop->ids) o->on_ordered(id.origin, id.seq, sys_->now(), self_);
   }
-  ready_decisions_.emplace(key.number, prop);
+  ready_decisions_.emplace(number, prop);
   process_ready_decisions();
   maybe_start_next();
 }
@@ -314,7 +309,7 @@ void FdAbcastProcess::process_ready_decisions() {
   // just cheaply — when nothing was applied: this function runs on every
   // content arrival.
   if (!applied) return;
-  consensus_.retry_buffered(kAbcastContext);
+  consensus_.retry_buffered();
   maybe_start_next();
 }
 

@@ -119,7 +119,7 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   bool admit_data(const AppMessage& msg);
   /// Drops the entry of a message being A-delivered.
   void erase_pending(PendingMap::iterator it);
-  void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
+  void on_decide(std::uint64_t number, const net::PayloadPtr& value);
   void maybe_start_next();
   void process_ready_decisions();
   void send_sync_req();

@@ -30,13 +30,11 @@
 #include <vector>
 
 #include "abcast/abcast.hpp"
-#include "consensus/chandra_toueg.hpp"
 #include "fd/failure_detector.hpp"
 #include "gm/membership.hpp"
 #include "gm/view.hpp"
 #include "net/system.hpp"
 #include "obs/causal.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::abcast {
 
@@ -116,8 +114,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   [[nodiscard]] bool active_sequencer() const { return is_sequencer() && !frozen_; }
 
   GmAbcastConfig cfg_;
-  rbcast::ReliableBroadcast rb_;
-  consensus::ConsensusService consensus_;
   gm::GroupMembership membership_;
 
   gm::View view_;  // data-plane copy of the current view

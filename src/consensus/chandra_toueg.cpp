@@ -15,16 +15,16 @@ constexpr int kDecideTag = 0x434f4e53;  // "CONS"
 
 // ---------------------------------------------------------------- Instance
 
-Instance::Instance(ConsensusService& service, InstanceKey key, net::ProcessId self,
+Instance::Instance(ConsensusService& service, std::uint64_t number, net::ProcessId self,
                    StartInfo info)
     : service_(&service), self_(self) {
-  reset(key, std::move(info));
+  reset(number, std::move(info));
 }
 
 Instance::~Instance() { retire(); }
 
-void Instance::reset(InstanceKey key, StartInfo info) {
-  key_ = key;
+void Instance::reset(std::uint64_t number, StartInfo info) {
+  number_ = number;
   if (info.members == nullptr || info.members->empty())
     throw std::invalid_argument("consensus::Instance: empty membership");
   members_.assign(info.members->begin(), info.members->end());
@@ -81,7 +81,7 @@ void Instance::start() { try_progress(); }
 void Instance::send_to_coordinator(std::uint32_t r, ConsensusMsg::Kind kind,
                                    net::PayloadPtr value, std::uint32_t ts) {
   const ConsensusMsg* msg =
-      service_->system().arena().make<ConsensusMsg>(key_, kind, r, value, ts);
+      service_->system().arena().make<ConsensusMsg>(number_, kind, r, value, ts);
   const net::ProcessId coord = coordinator(r);
   if (coord == self_) {
     on_msg(self_, *msg);  // local bookkeeping, no network cost
@@ -204,7 +204,7 @@ void Instance::try_progress() {
         st.have_proposal = true;
         st.proposal = value;
         const ConsensusMsg* msg = service_->system().arena().make<ConsensusMsg>(
-            key_, ConsensusMsg::Kind::kPropose, r, value, /*ts=*/0);
+            number_, ConsensusMsg::Kind::kPropose, r, value, /*ts=*/0);
         service_->multicast_others(members_, msg);
         changed = true;
       }
@@ -240,7 +240,7 @@ void Instance::try_progress() {
       st.resolved = true;
       if (st.nacks == 0) {
         done_ = true;
-        service_->decide(key_, members_, st.proposal);
+        service_->decide(number_, members_, st.proposal);
         break;
       }
       // Tell everybody the round failed so that processes waiting for the
@@ -250,7 +250,7 @@ void Instance::try_progress() {
       if (auto* o = service_->system().obs())
         o->count(self_, obs::Counter::kConsensusRoundFails, service_->system().now());
       const ConsensusMsg* msg = service_->system().arena().make<ConsensusMsg>(
-          key_, ConsensusMsg::Kind::kRoundFailed, r, nullptr, /*ts=*/0);
+          number_, ConsensusMsg::Kind::kRoundFailed, r, nullptr, /*ts=*/0);
       service_->multicast_others(members_, msg);
       advance_to(r + 1);
       changed = true;
@@ -262,8 +262,9 @@ void Instance::try_progress() {
 // --------------------------------------------------------- ConsensusService
 
 ConsensusService::ConsensusService(net::System& sys, net::ProcessId self,
-                                   fd::FailureDetector& fd, rbcast::ReliableBroadcast& rb)
-    : sys_(&sys), self_(self), fd_(&fd), rb_(&rb) {
+                                   fd::FailureDetector& fd, rbcast::ReliableBroadcast& rb,
+                                   Client client)
+    : sys_(&sys), self_(self), fd_(&fd), rb_(&rb), client_(std::move(client)) {
   sys.node(self).register_handler(net::ProtocolId::kConsensus, this);
   rb.register_client(kDecideTag, [this](net::PayloadPtr inner) { on_decide_rb(inner); });
 }
@@ -272,20 +273,15 @@ ConsensusService::~ConsensusService() {
   sys_->node(self_).register_handler(net::ProtocolId::kConsensus, nullptr);
 }
 
-void ConsensusService::register_context(std::uint32_t context, ContextConfig cfg) {
-  if (!contexts_.emplace(context, std::move(cfg)).second)
-    throw std::logic_error("ConsensusService: duplicate context");
-}
-
-std::unique_ptr<Instance> ConsensusService::acquire_instance(const InstanceKey& key,
+std::unique_ptr<Instance> ConsensusService::acquire_instance(std::uint64_t number,
                                                              StartInfo info) {
   if (!pool_.empty()) {
     std::unique_ptr<Instance> inst = std::move(pool_.back());
     pool_.pop_back();
-    inst->reset(key, std::move(info));
+    inst->reset(number, std::move(info));
     return inst;
   }
-  return std::make_unique<Instance>(*this, key, self_, std::move(info));
+  return std::make_unique<Instance>(*this, number, self_, std::move(info));
 }
 
 void ConsensusService::retire(std::unique_ptr<Instance> inst) {
@@ -293,13 +289,13 @@ void ConsensusService::retire(std::unique_ptr<Instance> inst) {
   pool_.push_back(std::move(inst));
 }
 
-void ConsensusService::start(const InstanceKey& key, StartInfo info) {
-  if (decided(key) || instances_.contains(key)) return;
-  std::unique_ptr<Instance> inst = acquire_instance(key, std::move(info));
+void ConsensusService::start(std::uint64_t number, StartInfo info) {
+  if (decided(number) || instances_.contains(number)) return;
+  std::unique_ptr<Instance> inst = acquire_instance(number, std::move(info));
   Instance* raw = inst.get();
-  instances_.emplace(key, std::move(inst));
+  instances_.emplace(number, std::move(inst));
   // Replay messages that arrived before we joined.
-  if (auto it = buffered_.find(key); it != buffered_.end()) {
+  if (auto it = buffered_.find(number); it != buffered_.end()) {
     auto msgs = std::move(it->second);
     buffered_.erase(it);
     for (auto& [from, m] : msgs) raw->on_msg(from, *m);
@@ -307,42 +303,35 @@ void ConsensusService::start(const InstanceKey& key, StartInfo info) {
   raw->start();
 }
 
-void ConsensusService::retry_buffered(std::uint32_t context) {
-  auto cit = contexts_.find(context);
-  if (cit == contexts_.end() || !cit->second.join) return;
-  // Collect keys first: start() mutates buffered_.
-  std::vector<InstanceKey> keys;
-  for (const auto& [key, msgs] : buffered_)
-    if (key.context == context && !instances_.contains(key) && !decided(key))
-      keys.push_back(key);
-  std::sort(keys.begin(), keys.end(),
-            [](const InstanceKey& a, const InstanceKey& b) { return a.number < b.number; });
-  for (const InstanceKey& key : keys) {
-    if (instances_.contains(key) || decided(key)) continue;
-    if (auto info = cit->second.join(key)) start(key, std::move(*info));
+void ConsensusService::retry_buffered() {
+  // Collect numbers first: start() mutates buffered_ and can decide
+  // further instances re-entrantly.
+  std::vector<std::uint64_t> numbers;
+  for (const auto& [number, msgs] : buffered_) numbers.push_back(number);
+  for (std::uint64_t number : numbers) {
+    if (running(number) || decided(number)) continue;
+    if (auto info = client_.join(number)) start(number, std::move(*info));
   }
 }
 
-void ConsensusService::close_below(std::uint32_t context, std::uint64_t number) {
-  auto& floor = closed_floor_[context];
-  if (number <= floor) return;
-  floor = number;
-  auto below = [&](const InstanceKey& key) {
-    return key.context == context && key.number < number;
-  };
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    if (below(it->first)) {
-      it->second->halt();
-      retire(std::move(it->second));
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
+void ConsensusService::close_below(std::uint64_t number) {
+  if (number <= floor_) return;
+  floor_ = number;
+  advance_floor();
+  const auto end = instances_.lower_bound(number);
+  for (auto it = instances_.begin(); it != end; ++it) {
+    it->second->halt();
+    retire(std::move(it->second));
   }
-  for (auto it = buffered_.begin(); it != buffered_.end();)
-    it = below(it->first) ? buffered_.erase(it) : std::next(it);
-  for (auto it = decided_.begin(); it != decided_.end();)
-    it = below(*it) ? decided_.erase(it) : std::next(it);
+  instances_.erase(instances_.begin(), end);
+  buffered_.erase(buffered_.begin(), buffered_.lower_bound(number));
+}
+
+void ConsensusService::advance_floor() {
+  while (!settled_above_.empty() && settled_above_.front() <= floor_) {
+    if (settled_above_.front() == floor_) ++floor_;
+    settled_above_.erase(settled_above_.begin());
+  }
 }
 
 void ConsensusService::on_message(const net::Message& m) {
@@ -352,22 +341,14 @@ void ConsensusService::on_message(const net::Message& m) {
 }
 
 void ConsensusService::dispatch(net::ProcessId from, const ConsensusMsg* m) {
-  if (decided(m->key)) return;  // stale traffic for a closed instance
-  if (auto it = instances_.find(m->key); it != instances_.end()) {
+  if (decided(m->number)) return;  // stale traffic for a closed instance
+  if (auto it = instances_.find(m->number); it != instances_.end()) {
     it->second->on_msg(from, *m);
     return;
   }
-  // Unknown instance: ask the owning context whether to join now.
-  auto cit = contexts_.find(m->key.context);
-  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
-  if (cit->second.join) {
-    if (auto info = cit->second.join(m->key)) {
-      buffered_[m->key].emplace_back(from, m);
-      start(m->key, std::move(*info));
-      return;
-    }
-  }
-  buffered_[m->key].emplace_back(from, m);
+  // Unknown instance: ask the client whether to join now.
+  buffered_[m->number].emplace_back(from, m);
+  if (auto info = client_.join(m->number)) start(m->number, std::move(*info));
 }
 
 void ConsensusService::unicast(net::ProcessId dst, const ConsensusMsg* m) {
@@ -379,10 +360,10 @@ void ConsensusService::multicast_others(const std::vector<net::ProcessId>& membe
   sys_->node(self_).multicast_others(members, net::ProtocolId::kConsensus, m);
 }
 
-void ConsensusService::decide(const InstanceKey& key, const std::vector<net::ProcessId>& members,
+void ConsensusService::decide(std::uint64_t number, const std::vector<net::ProcessId>& members,
                               net::PayloadPtr value) {
   const ConsensusMsg* msg = sys_->arena().make<ConsensusMsg>(
-      key, ConsensusMsg::Kind::kDecide, /*round=*/0, value, /*ts=*/0);
+      number, ConsensusMsg::Kind::kDecide, /*round=*/0, value, /*ts=*/0);
   rb_->broadcast_group(kDecideTag, members, msg);
 }
 
@@ -390,26 +371,26 @@ void ConsensusService::on_decide_rb(net::PayloadPtr inner) {
   const ConsensusMsg* cm = net::payload_cast<ConsensusMsg>(inner);
   if (cm == nullptr || cm->kind != ConsensusMsg::Kind::kDecide)
     throw std::logic_error("ConsensusService: bad decision payload");
-  if (below_floor(cm->key)) return;              // settled out of band already
-  if (!decided_.insert(cm->key).second) return;  // duplicate decision
-  if (auto it = instances_.find(cm->key); it != instances_.end()) {
+  const std::uint64_t number = cm->number;
+  if (decided(number)) return;  // repeat, or settled out of band already
+  settled_above_.insert(
+      std::lower_bound(settled_above_.begin(), settled_above_.end(), number), number);
+  advance_floor();
+  if (auto it = instances_.find(number); it != instances_.end()) {
     // halt() now; retire later.  The decision can arrive synchronously
     // from inside the instance's own try_progress (the coordinator's local
     // rbcast delivery), so pooling here could hand a live stack frame's
-    // instance to a new key.
+    // instance to a new number.
     it->second->halt();
-    const InstanceKey key = cm->key;
-    sys_->scheduler().schedule_after(0, [this, key] {
-      auto dit = instances_.find(key);
+    sys_->scheduler().schedule_after(0, [this, number] {
+      auto dit = instances_.find(number);
       if (dit == instances_.end()) return;  // close_below retired it already
       retire(std::move(dit->second));
       instances_.erase(dit);
     });
   }
-  buffered_.erase(cm->key);
-  auto cit = contexts_.find(cm->key.context);
-  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
-  cit->second.on_decide(cm->key, cm->value);
+  buffered_.erase(number);
+  client_.on_decide(number, cm->value);
 }
 
 }  // namespace fdgm::consensus

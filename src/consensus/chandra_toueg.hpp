@@ -27,12 +27,12 @@
 // Instances are value-agnostic: estimates/decisions are opaque payloads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/types.hpp"
@@ -75,15 +75,15 @@ class ConsensusService;
 /// already-sized arrays.
 class Instance final : public fd::SuspicionListener {
  public:
-  Instance(ConsensusService& service, InstanceKey key, net::ProcessId self, StartInfo info);
+  Instance(ConsensusService& service, std::uint64_t number, net::ProcessId self, StartInfo info);
   ~Instance() override;
 
   Instance(const Instance&) = delete;
   Instance& operator=(const Instance&) = delete;
 
-  /// Re-arms a pooled instance body for a new key (capacity of the
+  /// Re-arms a pooled instance body for a new number (capacity of the
   /// per-round arrays is retained).  The instance must be retired.
-  void reset(InstanceKey key, StartInfo info);
+  void reset(std::uint64_t number, StartInfo info);
 
   /// Detaches from the failure detector and clears payload references;
   /// the body is ready for reset().  Idempotent.
@@ -154,7 +154,7 @@ class Instance final : public fd::SuspicionListener {
                            std::uint32_t ts);
 
   ConsensusService* service_;
-  InstanceKey key_;
+  std::uint64_t number_ = 0;
   net::ProcessId self_;
   std::vector<net::ProcessId> members_;
   int offset_ = 0;
@@ -168,49 +168,49 @@ class Instance final : public fd::SuspicionListener {
   std::vector<std::unique_ptr<RoundState>> rounds_;  // index r-1
 };
 
-/// Per-process consensus endpoint: routes messages to instances, creates
-/// instances on demand (join-on-first-message), and disseminates/receives
-/// decisions through reliable broadcast.
+/// Per-process consensus endpoint of one client: routes messages to
+/// instances, creates instances on demand (join-on-first-message), and
+/// disseminates/receives decisions through reliable broadcast.  Instances
+/// are numbered from 1.
 class ConsensusService final : public net::Layer {
  public:
-  struct ContextConfig {
+  struct Client {
     /// Invoked when a message arrives for an unknown instance.  Return the
     /// StartInfo to join immediately, or nullopt to buffer the message
     /// until a local start() (e.g. the membership layer joins a view
     /// change only once it learned about it).
-    std::function<std::optional<StartInfo>(const InstanceKey&)> join;
-    /// Invoked exactly once per instance with the decision value.
-    std::function<void(const InstanceKey&, const net::PayloadPtr&)> on_decide;
+    std::function<std::optional<StartInfo>(std::uint64_t number)> join;
+    /// Invoked exactly once per instance with the decision value (never for
+    /// an instance settled by close_below first).
+    std::function<void(std::uint64_t number, const net::PayloadPtr&)> on_decide;
   };
 
   ConsensusService(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                   rbcast::ReliableBroadcast& rb);
+                   rbcast::ReliableBroadcast& rb, Client client);
   ~ConsensusService() override;
 
   ConsensusService(const ConsensusService&) = delete;
   ConsensusService& operator=(const ConsensusService&) = delete;
 
-  void register_context(std::uint32_t context, ContextConfig cfg);
+  /// Start instance `number` locally (no-op if already started or decided).
+  void start(std::uint64_t number, StartInfo info);
 
-  /// Start instance `key` locally (no-op if already started or decided).
-  void start(const InstanceKey& key, StartInfo info);
+  /// Re-offer buffered messages to the join callback — used when the
+  /// client's readiness condition changed (e.g. the abcast pipeline window
+  /// advanced).
+  void retry_buffered();
 
-  /// Re-offer buffered messages of `context` to its join callback — used
-  /// when the client's readiness condition changed (e.g. the abcast
-  /// pipeline window advanced, or a view was installed).
-  void retry_buffered(std::uint32_t context);
+  /// Catch-up: declare every instance below `number` settled (the client
+  /// learned their outcomes out of band: a log sync, a state transfer).
+  /// Stale local instances and buffered traffic below the floor are
+  /// dropped.  Must not be called from inside an Instance callback.
+  void close_below(std::uint64_t number);
 
-  /// Crash-recovery catch-up: declare every instance of `context` with a
-  /// number below `number` settled (the client learned their outcomes out
-  /// of band, e.g. through a log sync).  Stale local instances and
-  /// buffered traffic below the floor are dropped, as are their retained
-  /// decisions.  Must not be called from inside an Instance callback.
-  void close_below(std::uint32_t context, std::uint64_t number);
-
-  [[nodiscard]] bool decided(const InstanceKey& key) const {
-    return decided_.contains(key) || below_floor(key);
+  [[nodiscard]] bool decided(std::uint64_t number) const {
+    return number < floor_ ||
+           std::binary_search(settled_above_.begin(), settled_above_.end(), number);
   }
-  [[nodiscard]] bool running(const InstanceKey& key) const { return instances_.contains(key); }
+  [[nodiscard]] bool running(std::uint64_t number) const { return instances_.contains(number); }
 
   // net::Layer — ESTIMATE/PROPOSE/ACK/NACK arrive here.
   void on_message(const net::Message& m) override;
@@ -224,42 +224,41 @@ class ConsensusService final : public net::Layer {
   /// Multicast to every member except this process (no loopback copy).
   void multicast_others(const std::vector<net::ProcessId>& members, const ConsensusMsg* m);
   /// Coordinator path: reliably broadcast the decision to the members.
-  void decide(const InstanceKey& key, const std::vector<net::ProcessId>& members,
+  void decide(std::uint64_t number, const std::vector<net::ProcessId>& members,
               net::PayloadPtr value);
 
  private:
   /// Applies an R-delivered decision; repeats and settled instances are ignored.
   void on_decide_rb(net::PayloadPtr inner);
   void dispatch(net::ProcessId from, const ConsensusMsg* m);
-  [[nodiscard]] bool below_floor(const InstanceKey& key) const {
-    auto it = closed_floor_.find(key.context);
-    return it != closed_floor_.end() && key.number < it->second;
-  }
+  /// Moves floor_ over the settled numbers that reach it and drops those
+  /// below it.
+  void advance_floor();
+  /// Takes an instance body from the pool (or allocates the first time)
+  /// and arms it for `number`.
+  [[nodiscard]] std::unique_ptr<Instance> acquire_instance(std::uint64_t number,
+                                                           StartInfo info);
+  /// Retires an instance body into the pool for reuse.
+  void retire(std::unique_ptr<Instance> inst);
 
   net::System* sys_;
   net::ProcessId self_;
   fd::FailureDetector* fd_;
   rbcast::ReliableBroadcast* rb_;
-  /// Takes an instance body from the pool (or allocates the first time)
-  /// and arms it for `key`.
-  [[nodiscard]] std::unique_ptr<Instance> acquire_instance(const InstanceKey& key,
-                                                           StartInfo info);
-  /// Retires an instance body into the pool for reuse.
-  void retire(std::unique_ptr<Instance> inst);
+  Client client_;
 
-  std::unordered_map<std::uint32_t, ContextConfig> contexts_;
-  std::unordered_map<InstanceKey, std::unique_ptr<Instance>, InstanceKeyHash> instances_;
+  std::map<std::uint64_t, std::unique_ptr<Instance>> instances_;
   /// Retired instance bodies, reused by acquire_instance — one consensus
   /// instance runs per message batch, so this avoids re-growing the
   /// per-instance containers on every message.
   std::vector<std::unique_ptr<Instance>> pool_;
-  std::unordered_map<InstanceKey, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>,
-                     InstanceKeyHash>
-      buffered_;
-  std::unordered_set<InstanceKey, InstanceKeyHash> decided_;
-  /// Per-context floor set by close_below(); instances below it count as
-  /// decided.
-  std::unordered_map<std::uint32_t, std::uint64_t> closed_floor_;
+  std::map<std::uint64_t, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>> buffered_;
+  /// Settled instances: every number below floor_, plus the sorted numbers
+  /// above it decided out of order.  Decisions advance the floor over
+  /// contiguous numbers and close_below raises it, so the vector stays
+  /// as short as the client's pipeline.
+  std::uint64_t floor_ = 1;
+  std::vector<std::uint64_t> settled_above_;
 };
 
 }  // namespace fdgm::consensus

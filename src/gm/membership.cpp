@@ -1,8 +1,6 @@
 #include "gm/membership.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -11,7 +9,6 @@
 namespace fdgm::gm {
 
 namespace {
-constexpr std::uint32_t kMembershipContext = 1;
 /// Joiner retry period for JOIN requests (ms).
 constexpr double kJoinRetryMs = 50.0;
 
@@ -97,32 +94,35 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 // ------------------------------------------------------------ construction
 
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                                 consensus::ConsensusService& consensus,
                                  MembershipClient& client)
-    : sys_(&sys), self_(self), fd_(&fd), consensus_(&consensus), client_(&client) {
+    : sys_(&sys),
+      self_(self),
+      fd_(&fd),
+      client_(&client),
+      rb_(sys, self),
+      consensus_(sys, self, fd, rb_,
+                 consensus::ConsensusService::Client{
+                     // Never join eagerly: the paper's protocol enters
+                     // consensus only once the unstable messages of every
+                     // unsuspected member are in.  Early consensus traffic
+                     // is buffered by the service; if we are a member that
+                     // has not yet noticed the view change, enter it.
+                     .join = [this](std::uint64_t number) -> std::optional<consensus::StartInfo> {
+                       if (number == view_.id + 1 && status_ == Status::kMember) {
+                         sys_->scheduler().schedule_after(0, [this, number] {
+                           if (status_ == Status::kMember && view_.id + 1 == number)
+                             start_view_change(/*initiator=*/false);
+                         });
+                       }
+                       return std::nullopt;
+                     },
+                     .on_decide = [this](std::uint64_t number, const net::PayloadPtr& value) {
+                       on_decide(number, value);
+                     },
+                 }) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
-  consensus.register_context(
-      kMembershipContext,
-      consensus::ConsensusService::ContextConfig{
-          // Never join eagerly: the paper's protocol enters consensus only
-          // once the unstable messages of every unsuspected member are in.
-          // Early consensus traffic is buffered by the service; if we are
-          // a member that has not yet noticed the view change, enter it.
-          .join =
-              [this](const consensus::InstanceKey& key) -> std::optional<consensus::StartInfo> {
-                if (key.number == view_.id && status_ == Status::kMember) {
-                  sys_->scheduler().schedule_after(0, [this, vid = key.number] {
-                    if (status_ == Status::kMember && view_.id == vid)
-                      start_view_change(/*initiator=*/false);
-                  });
-                }
-                return std::nullopt;
-              },
-          .on_decide = [this](const consensus::InstanceKey& key,
-                              const net::PayloadPtr& value) { on_decide(key, value); },
-      });
 }
 
 GroupMembership::~GroupMembership() {
@@ -236,8 +236,8 @@ void GroupMembership::maybe_start_consensus() {
     if (!view_.contains(j.p)) j_vec.push_back(j);
 
   consensus_started_ = true;
-  consensus_->start(
-      consensus::InstanceKey{kMembershipContext, view_.id},
+  consensus_.start(
+      view_.id + 1,
       consensus::StartInfo{
           .members = &view_.members,
           .coordinator_offset = vc_offset(view_),
@@ -261,8 +261,8 @@ void GroupMembership::schedule_attempt_refresh() {
 
 // ----------------------------------------------------------------- decision
 
-void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
-  if (key.number != view_.id) return;  // stale or future decision
+void GroupMembership::on_decide(std::uint64_t number, const net::PayloadPtr& value) {
+  if (number != view_.id + 1) return;  // stale or future decision
   if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
   const MembershipProposal* d = net::payload_cast<MembershipProposal>(value);
   if (d == nullptr) throw std::logic_error("GroupMembership: bad decision payload");
@@ -270,12 +270,6 @@ void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::Pa
 }
 
 void GroupMembership::process_decision(const MembershipProposal& d) {
-  if (getenv("FDGM_TRACE_VC")) {
-    std::fprintf(stderr, "[%.2f] p%d decision view%llu: P'={", sys_->now(), self_,
-                 (unsigned long long)view_.id);
-    for (auto p : d.members) std::fprintf(stderr, "%d,", p);
-    std::fprintf(stderr, "} J'=%zu U'=%zu\n", d.joiners.size(), d.unstable.size());
-  }
   if (status_ == Status::kMember) {
     // The decision overtook the unstable announcements: freeze now.
     status_ = Status::kViewChange;
@@ -470,13 +464,9 @@ void GroupMembership::on_message(const net::Message& m) {
     if (status_ != Status::kJoining) return;
     if (s->view.id < join_view_hint_) return;  // stale state
     client_->apply_state(s->state, s->view);
-    view_ = s->view;
-    status_ = Status::kMember;
-    if (auto* o = sys_->obs()) o->count(self_, obs::Counter::kViewChanges, sys_->now());
-    ++views_installed_;
-    client_->on_view_installed(view_, true);
-    replay_future(view_.id);
-    check_pending_suspicions();
+    // The view changes we missed were decided without us.
+    consensus_.close_below(s->view.id + 1);
+    install_view(s->view);
     return;
   }
   throw std::logic_error("GroupMembership: foreign payload");

@@ -13,7 +13,7 @@
 //    message) does the same;
 //  * once a process has the unstable messages of every member it does not
 //    suspect — at least a majority — it proposes (P, U, J) to consensus
-//    instance #view-id, run among the members of the current view;
+//    instance #(view-id + 1), run among the members of the current view;
 //  * the decision (P', U', J') is processed by every member: flush U',
 //    install view (id+1, P' ∪ J');
 //  * a member not in P' is wrongly excluded (or crashed).  A correct
@@ -38,6 +38,7 @@
 #include "fd/failure_detector.hpp"
 #include "gm/view.hpp"
 #include "net/system.hpp"
+#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::gm {
 
@@ -93,8 +94,10 @@ class MembershipClient {
 
 class GroupMembership final : public net::Layer, public fd::SuspicionListener {
  public:
+  /// Builds the membership's own reliable broadcast and consensus service;
+  /// consensus instance #v decides view v.
   GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                  consensus::ConsensusService& consensus, MembershipClient& client);
+                  MembershipClient& client);
   ~GroupMembership() override;
 
   /// Current view at this process.
@@ -149,7 +152,7 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   /// Blocked attempt (|P| below majority and nothing left to wait for):
   /// refresh the suspicion snapshot and retry shortly.
   void schedule_attempt_refresh();
-  void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
+  void on_decide(std::uint64_t number, const net::PayloadPtr& value);
   void process_decision(const MembershipProposal& d);
   void install_view(View v);
   void become_excluded(const View& new_view);
@@ -160,8 +163,9 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   net::System* sys_;
   net::ProcessId self_;
   fd::FailureDetector* fd_;
-  consensus::ConsensusService* consensus_;
   MembershipClient* client_;
+  rbcast::ReliableBroadcast rb_;
+  consensus::ConsensusService consensus_;
 
   View view_;
   Status status_ = Status::kMember;

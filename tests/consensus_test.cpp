@@ -1,6 +1,7 @@
 // Tests of the Chandra-Toueg ◇S consensus: agreement / validity /
 // termination in failure-free runs, coordinator crash handling, wrong
 // suspicions, message-pattern checks (Fig. 1), the re-numbering offset,
+// the settled-instance record (out-of-order decisions, close_below),
 // and randomized property sweeps over crash/suspicion schedules.
 #include <gtest/gtest.h>
 
@@ -31,27 +32,27 @@ int value_of(net::PayloadPtr p) {
   return v != nullptr ? v->v : -1;
 }
 
-constexpr std::uint32_t kCtx = 0;
-
 struct Fixture {
   explicit Fixture(int n, fd::QosParams qp = {}, std::uint64_t seed = 1)
       : sys(n, {}, seed), fd(sys, qp) {
     decisions.assign(static_cast<std::size_t>(n), {});
+    decide_calls.assign(static_cast<std::size_t>(n), {});
     for (int i = 0; i < n; ++i) {
       rbs.push_back(std::make_unique<rbcast::ReliableBroadcast>(sys, i));
-      services.push_back(std::make_unique<ConsensusService>(sys, i, fd.at(i), *rbs.back()));
-      auto* slot = &decisions[static_cast<std::size_t>(i)];
-      services.back()->register_context(
-          kCtx, ConsensusService::ContextConfig{
-                    .join = [this, i](const InstanceKey&) -> std::optional<StartInfo> {
-                      // Late joiners propose their process id by default.
-                      return StartInfo{&sys.all(), 0, sys.arena().make<Value>(100 + i)};
-                    },
-                    .on_decide =
-                        [slot](const InstanceKey& key, const net::PayloadPtr& v) {
-                          slot->emplace(key.number, value_of(v));
-                        },
-                });
+      const auto slot = static_cast<std::size_t>(i);
+      services.push_back(std::make_unique<ConsensusService>(
+          sys, i, fd.at(i), *rbs.back(),
+          ConsensusService::Client{
+              .join = [this, i](std::uint64_t) -> std::optional<StartInfo> {
+                // Late joiners propose their process id by default.
+                return StartInfo{&sys.all(), 0, sys.arena().make<Value>(100 + i)};
+              },
+              .on_decide =
+                  [this, slot](std::uint64_t number, const net::PayloadPtr& v) {
+                    decisions[slot].emplace(number, value_of(v));
+                    ++decide_calls[slot][number];
+                  },
+          }));
     }
     fd.start();
   }
@@ -61,8 +62,7 @@ struct Fixture {
     for (int i = 0; i < sys.n(); ++i) {
       if (sys.node(i).crashed()) continue;
       services[static_cast<std::size_t>(i)]->start(
-          InstanceKey{kCtx, k},
-          StartInfo{&sys.all(), offset, sys.arena().make<Value>(base + i)});
+          k, StartInfo{&sys.all(), offset, sys.arena().make<Value>(base + i)});
     }
   }
 
@@ -93,6 +93,8 @@ struct Fixture {
   std::vector<std::unique_ptr<rbcast::ReliableBroadcast>> rbs;
   std::vector<std::unique_ptr<ConsensusService>> services;
   std::vector<std::map<std::uint64_t, int>> decisions;
+  /// on_decide invocations per process and instance.
+  std::vector<std::map<std::uint64_t, int>> decide_calls;
 };
 
 TEST(Consensus, FailureFreeDecidesCoordinatorValue) {
@@ -166,7 +168,7 @@ TEST(Consensus, DecisionReachesLateJoiner) {
   Fixture f(3);
   for (int i : {0, 1})
     f.services[static_cast<std::size_t>(i)]->start(
-        InstanceKey{kCtx, 1}, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(i)});
+        1, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(i)});
   f.sys.scheduler().run();
   EXPECT_EQ(f.deciders(1), 3u);
   f.check_agreement(1);
@@ -224,13 +226,71 @@ TEST(Consensus, DecidedInstanceIgnoresStragglers) {
   Fixture f(3);
   f.propose_all(1);
   f.sys.scheduler().run();
-  EXPECT_TRUE(f.services[0]->decided(InstanceKey{kCtx, 1}));
-  EXPECT_FALSE(f.services[0]->running(InstanceKey{kCtx, 1}));
+  EXPECT_TRUE(f.services[0]->decided(1));
+  EXPECT_FALSE(f.services[0]->running(1));
   // Restarting a decided instance is a no-op.
-  f.services[0]->start(InstanceKey{kCtx, 1},
-                       StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
+  f.services[0]->start(1, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
   f.sys.scheduler().run();
   EXPECT_EQ(f.decisions[0].at(1), 0);
+}
+
+TEST(Consensus, OutOfOrderDecisionsAreEachReportedOnce) {
+  // Instance 2 decides while instance 1 has not started anywhere; the
+  // settled record must hold 2 above the floor, then absorb both once 1
+  // decides.
+  Fixture f(3);
+  f.propose_all(2, 20);
+  f.sys.scheduler().run();
+  for (const auto& s : f.services) {
+    EXPECT_TRUE(s->decided(2));
+    EXPECT_FALSE(s->decided(1));
+  }
+  f.propose_all(1, 10);
+  f.sys.scheduler().run();
+  EXPECT_EQ(f.check_agreement(1), 10);
+  EXPECT_EQ(f.check_agreement(2), 20);
+  const std::uint64_t uses = f.sys.network().network_uses();
+  for (int i = 0; i < 3; ++i) {
+    const auto& s = *f.services[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(s.decided(1));
+    EXPECT_TRUE(s.decided(2));
+    EXPECT_FALSE(s.decided(3));
+    for (std::uint64_t k : {1, 2}) {
+      EXPECT_EQ(f.decide_calls[static_cast<std::size_t>(i)][k], 1) << "p" << i << " #" << k;
+      // Starting a decided instance again is a no-op.
+      f.services[static_cast<std::size_t>(i)]->start(
+          k, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
+      EXPECT_FALSE(s.running(k));
+    }
+  }
+  f.sys.scheduler().run();
+  EXPECT_EQ(f.sys.network().network_uses(), uses);
+  EXPECT_EQ(f.check_agreement(1), 10);
+  EXPECT_EQ(f.check_agreement(2), 20);
+}
+
+TEST(Consensus, CloseBelowSettlesAnUndecidedInstance) {
+  Fixture f(3);
+  f.propose_all(1);
+  f.propose_all(2);
+  f.sys.scheduler().run();
+  // Instance 3 runs everywhere; p2 learns out of band that everything
+  // below 4 is settled before its instance 3 decides.
+  f.propose_all(3, 30);
+  ConsensusService& p2 = *f.services[2];
+  ASSERT_TRUE(p2.running(3));
+  ASSERT_FALSE(p2.decided(3));
+  p2.close_below(4);
+  EXPECT_FALSE(p2.running(3));
+  EXPECT_TRUE(p2.decided(3));
+  EXPECT_FALSE(p2.decided(4));
+  f.sys.scheduler().run();
+  // p0 and p1 still form a majority and decide; the decision that reaches
+  // p2 is not reported to its client.
+  EXPECT_EQ(f.check_agreement(3), 30);
+  EXPECT_EQ(f.deciders(3), 2u);
+  EXPECT_FALSE(f.decide_calls[2].contains(3));
+  EXPECT_FALSE(p2.running(3));
 }
 
 TEST(Consensus, ValidityDecisionIsSomeProposal) {
