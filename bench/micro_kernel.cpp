@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -629,6 +630,17 @@ BENCHMARK(BM_AbcastSecondObserved)
     ->Arg(static_cast<int>(core::Algorithm::kFd))
     ->Arg(static_cast<int>(core::Algorithm::kGm));
 
+// The n = 128 detector of scale_throughput (and large_group's renewal
+// process): one renewal timer per ordered pair, TMR = n(n-1)·5000 ms.
+fd::QosParams qos128() {
+  fd::QosParams params;
+  params.detection_time = 30.0;
+  params.wrong_suspicions = true;
+  params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
+  params.mistake_duration = 50.0;
+  return params;
+}
+
 // One simulated second of FD-heavy atomic broadcast at n = 128 (the
 // scale_throughput composition: T = 100/s, one renewal timer per ordered
 // pair).  Items = scheduler events, so items_per_second is the
@@ -641,10 +653,7 @@ void abcast_scale_kernel(benchmark::State& state, sim::SchedulerBackend backend)
   cfg.n = 128;
   cfg.seed = 7;
   cfg.scheduler.backend = backend;
-  cfg.fd_params.detection_time = 30.0;
-  cfg.fd_params.wrong_suspicions = true;
-  cfg.fd_params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
-  cfg.fd_params.mistake_duration = 50.0;
+  cfg.fd_params = qos128();
   core::SimRun run(cfg, core::WorkloadConfig{.throughput = 100.0});
   run.start();
   run.run_until(1000.0);  // past startup transients
@@ -675,21 +684,13 @@ BENCHMARK(BM_AbcastScaleSecond128_par);
 
 // QoS-model construction at n = 128: formerly an eager n^2 loop forking
 // one mt19937_64 per ordered pair (16256 engines, ~2500 state words
-// each) before the first event ran — quadratic setup that dominated
-// short large-n runs and was pure waste for the (default) silent pairs.
-// PairState is now lazy: construction sizes an engine-less vector, and a
-// pair materializes its fork (replaying its draw count, so streams are
-// bit-identical to the eager layout) only on its first mistake draw.
-// Items = one constructed model; compare against the eager-cost
-// reference kernel below.
+// each) before the first event ran.  PairState is now lazy: construction
+// sizes an engine-less vector.  Construction alone is not what a run
+// pays, though — see BM_QosModelStart128.  Items = one constructed model.
 void BM_QosModelSetup128(benchmark::State& state) {
   constexpr int kN = 128;
   net::System sys(kN, net::NetworkConfig{}, 7);
-  fd::QosParams params;
-  params.detection_time = 30.0;
-  params.wrong_suspicions = true;
-  params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
-  params.mistake_duration = 50.0;
+  const fd::QosParams params = qos128();
   std::int64_t models = 0;
   for (auto _ : state) {
     fd::QosFailureDetectorModel model(sys, params);
@@ -700,10 +701,39 @@ void BM_QosModelSetup128(benchmark::State& state) {
 }
 BENCHMARK(BM_QosModelSetup128);
 
-// Reference: the eager cost BM_QosModelSetup128 no longer pays — n(n-1) =
-// 16256 independent mt19937_64 forks, exactly the per-pair seeding the
-// old constructor performed.  The lazy model amortizes this across the
-// run (and skips it entirely for pairs that never draw).
+// Construction + start() at n = 128 with wrong suspicions on: start()
+// draws every pair's first mistake gap (16256 draws) and schedules its
+// renewal event.  The first draw is computed from the pair's fork seed
+// (Rng::fork_first_exponential) instead of seeding and twisting a
+// forked engine.  Each iteration builds a fresh System and discards it,
+// with its 16256 pending renewal events, outside the timed region.
+// Items = one started model.
+void BM_QosModelStart128(benchmark::State& state) {
+  constexpr int kN = 128;
+  const fd::QosParams params = qos128();
+  std::optional<fd::QosFailureDetectorModel> model;
+  std::optional<net::System> sys;
+  std::int64_t models = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sys.emplace(kN, net::NetworkConfig{}, 7);
+    state.ResumeTiming();
+    model.emplace(*sys, params);
+    model->start();
+    benchmark::DoNotOptimize(&*model);
+    state.PauseTiming();
+    model.reset();
+    sys.reset();
+    state.ResumeTiming();
+    ++models;
+  }
+  state.SetItemsProcessed(models);
+}
+BENCHMARK(BM_QosModelStart128);
+
+// Reference: n(n-1) = 16256 independent mt19937_64 forks, one output
+// each — the per-pair seeding the eager constructor performed, and what
+// start() paid while every pair's first draw built its forked engine.
 void BM_RngForkPerPair128(benchmark::State& state) {
   const sim::Rng base(20260808);
   constexpr int kPairs = 128 * 127;

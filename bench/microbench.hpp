@@ -1,9 +1,10 @@
 // Tiny built-in timing harness: a drop-in subset of the Google Benchmark
 // API (State iteration, BENCHMARK()->Arg() registration, DoNotOptimize,
-// SetItemsProcessed, counters, --benchmark_format=json), so micro_kernel
-// builds and runs on machines without the library.  Selected by the CMake
-// option FDGM_BENCH_FALLBACK (or automatically when the library is not
-// found); the real library remains the default when available.
+// SetItemsProcessed, PauseTiming/ResumeTiming, counters,
+// --benchmark_format=json), so micro_kernel builds and runs on machines
+// without the library.  Selected by the CMake option FDGM_BENCH_FALLBACK
+// (or automatically when the library is not found); the real library
+// remains the default when available.
 //
 // Methodology: each benchmark is calibrated to run for ~0.25 s of wall
 // time (one probe iteration sizes the batch), then timed over the whole
@@ -72,9 +73,12 @@ class State {
   [[nodiscard]] std::int64_t iterations() const { return target_; }
   void SetItemsProcessed(std::int64_t n) { items_ = n; }
   [[nodiscard]] std::int64_t items_processed() const { return items_; }
+  /// Exclude per-iteration set-up / teardown from the timed region.
+  void PauseTiming() { pause_ = std::chrono::steady_clock::now(); }
+  void ResumeTiming() { paused_ += std::chrono::steady_clock::now() - pause_; }
   [[nodiscard]] double elapsed_ns() const {
-    return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start_)
-        .count();
+    const auto timed = std::chrono::steady_clock::now() - start_ - paused_;
+    return std::chrono::duration<double, std::nano>(timed).count();
   }
 
   std::map<std::string, Counter> counters;
@@ -85,6 +89,8 @@ class State {
   bool has_arg_;
   std::int64_t items_ = 0;
   std::chrono::steady_clock::time_point start_{};
+  std::chrono::steady_clock::time_point pause_{};
+  std::chrono::steady_clock::duration paused_{};
 };
 
 template <typename T>

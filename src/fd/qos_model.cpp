@@ -19,8 +19,9 @@ QosFailureDetectorModel::QosFailureDetectorModel(net::System& sys, QosParams par
   fds_.reserve(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) fds_.push_back(std::make_unique<FailureDetector>(q, n));
 
-  // Pair engines are forked lazily on first draw (see pair_draw): eagerly
-  // seeding n^2 mt19937_64 engines dominated setup at large n.
+  // Pair engines are built lazily, on a pair's second draw (see
+  // pair_draw): eagerly seeding n^2 mt19937_64 engines dominated setup at
+  // large n.
   pairs_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
   clock_rate_.assign(static_cast<std::size_t>(n), 1.0);
   limp_.assign(static_cast<std::size_t>(n), 1.0);
@@ -45,11 +46,10 @@ double QosFailureDetectorModel::pair_draw(PairState& st, net::ProcessId q, net::
                                   static_cast<std::uint64_t>(sys_->n()) +
                               static_cast<std::uint64_t>(p);
     if (st.draws == 0) {
-      // First draw: a stack-local engine avoids persisting state for the
-      // (common) pairs that only ever draw once.
-      sim::Rng tmp = base_.fork(tag);
+      // First draw: computed from the fork's seed without building its
+      // engine; it consumes one engine word, like every later draw.
       st.draws = 1;
-      return tmp.exponential(mean);
+      return base_.fork_first_exponential(tag, mean);
     }
     // Second draw: persist the engine and replay the consumed prefix.
     // exponential_distribution's engine consumption is independent of the

@@ -86,12 +86,13 @@ class QosFailureDetectorModel {
  private:
   /// Per ordered pair (q monitors p).  The pair's RNG engine is lazy:
   /// constructing n^2 mt19937_64 engines up front dominated setup time at
-  /// large n (~40% of a quick n=128 run), yet most pairs draw zero or one
-  /// variate (none at all when wrong_suspicions is off).  pair_draw forks
-  /// the engine from base_ with the pair's original tag on first use —
-  /// the streams are bit-identical to the eager layout — and only
-  /// persists it on the second draw (a one-shot draw uses a stack-local
-  /// engine and just counts the consumption for a later replay).
+  /// large n, yet when wrong_suspicions is on every pair draws its first
+  /// mistake gap in start() and most draw nothing more (none draw at all
+  /// when it is off).  The streams are bit-identical to the
+  /// eager layout (base_ forked with the pair's tag): the first draw is
+  /// computed straight from the fork's seed (Rng::fork_first_exponential,
+  /// no engine built) and counted; the second draw persists the engine
+  /// and replays the counted prefix.
   struct PairState {
     std::unique_ptr<sim::Rng> engine;  // null until the second draw
     std::uint32_t draws = 0;           // variates consumed pre-persist

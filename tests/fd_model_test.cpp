@@ -3,6 +3,8 @@
 // listener edge notifications, and independence of pair modules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "fd/qos_model.hpp"
@@ -211,6 +213,59 @@ TEST(FdModel, DeterministicAcrossRuns) {
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_EQ(a, b);
+}
+
+TEST(FdModel, PairStreamsFollowEagerForks) {
+  // Pair (q, p) draws gap, duration, gap, ... from its own fork of the
+  // model's stream; the first draw skips building the engine, the second
+  // builds it and replays the first.  Both must match an eager fork.
+  constexpr int kN = 4;
+  net::System sys(kN, {}, 3);
+  QosParams qp;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = 100.0;
+  qp.mistake_duration = 10.0;
+  QosFailureDetectorModel fd(sys, qp);
+  std::deque<EdgeLog> logs;  // stable addresses for the listeners
+  for (int q = 0; q < kN; ++q) fd.at(q).add_listener(&logs.emplace_back(sys));
+  const sim::Rng parent = sys.rng().fork("fd-qos-model");
+  struct Expected {
+    double first;
+    double second;
+  };
+  std::vector<Expected> expected(kN * kN);
+  double horizon = 0.0;
+  for (int q = 0; q < kN; ++q) {
+    for (int p = 0; p < kN; ++p) {
+      if (q == p) continue;
+      sim::Rng eager = parent.fork(static_cast<std::uint64_t>(q * kN + p));
+      // Mistake k starts gap_k after mistake k-1 and lasts duration_k.
+      // The second suspect edge is g1 + g2 unless the first window still
+      // covers that start; then it is the first later start none covers.
+      double start = eager.exponential(qp.mistake_recurrence);
+      const double first = start;
+      double until = start + eager.exponential(qp.mistake_duration);
+      for (start += eager.exponential(qp.mistake_recurrence); start <= until;
+           start += eager.exponential(qp.mistake_recurrence)) {
+        until = std::max(until, start + eager.exponential(qp.mistake_duration));
+      }
+      expected[q * kN + p] = {first, start};
+      horizon = std::max(horizon, start);
+    }
+  }
+  fd.start();
+  sys.scheduler().run_until(horizon + 1.0);
+  for (int q = 0; q < kN; ++q) {
+    for (int p = 0; p < kN; ++p) {
+      if (q == p) continue;
+      std::vector<sim::Time> edges;
+      for (const auto& [target, t] : logs[q].suspects)
+        if (target == p) edges.push_back(t);
+      ASSERT_GE(edges.size(), 2u) << "pair " << q << "," << p;
+      EXPECT_EQ(edges[0], expected[q * kN + p].first) << "pair " << q << "," << p;
+      EXPECT_EQ(edges[1], expected[q * kN + p].second) << "pair " << q << "," << p;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "sim/rng.hpp"
 #include "util/stats.hpp"
@@ -121,6 +123,31 @@ TEST(Rng, ExponentialIsMemoryless) {
   const double cond = static_cast<double>(over_ab) / over_a;
   const double uncond = static_cast<double>(over_b) / n;
   EXPECT_NEAR(cond, uncond, 0.02);
+}
+
+TEST(Rng, ForkFirstExponentialMatchesForkedEngine) {
+  // Means span the model's range, up to the large_group TMR n(n-1)·5000
+  // at n = 128; the label fork is the QoS model's parent stream.
+  const double means[] = {1e-3, 1.0, 50.0, 10000.0, 128.0 * 127.0 * 5000.0};
+  const Rng bases[] = {Rng(1), Rng(20260808), Rng(7).fork("fd-qos-model")};
+  for (const Rng& base : bases) {
+    for (std::uint64_t tag = 0; tag < 10000; ++tag) {
+      for (double mean : means) {
+        ASSERT_EQ(base.fork_first_exponential(tag, mean), base.fork(tag).exponential(mean))
+            << "tag " << tag << " mean " << mean;
+      }
+    }
+    EXPECT_EQ(base.fork_first_exponential(3, 0.0), 0.0);
+    EXPECT_EQ(base.fork_first_exponential(3, -1.0), 0.0);
+  }
+}
+
+TEST(Rng, Mt19937FirstOutputMatchesEngine) {
+  // 5489 is std::mt19937_64's default seed.
+  const std::uint64_t seeds[] = {5489, 0, 1, 0x9e3779b97f4a7c15ULL, ~std::uint64_t{0}};
+  for (std::uint64_t seed : seeds) {
+    EXPECT_EQ(Rng::mt19937_64_first(seed), std::mt19937_64(seed)()) << "seed " << seed;
+  }
 }
 
 }  // namespace
